@@ -2,7 +2,9 @@
 
 The second-moment decay follows beta2_hat(t) = min(beta2, 1 - t^-decay_exponent)
 with steps counted from 1. Matrices keep only row and column mean
-accumulators; the full moment is reconstructed as their scaled outer product.
+accumulators r and c. The factored moment is vhat = outer(r, c) / mean(r),
+but it is never built: the gradient is scaled by sqrt(mean(r)) / sqrt(r) along
+rows and by 1 / sqrt(c) along columns, which is g / sqrt(vhat) up to rounding.
 Updates are RMS-clipped at clip_threshold before the learning-rate scale.
 """
 
@@ -84,7 +86,9 @@ def adafactor_step(
     for name, p in params.items():
         g = check_finite(np.asarray(grads[name], dtype=np.float64),
                          f"gradient for {name!r}")
-        sq = g * g + _EPS1
+        # Fresh arrays (even for 0-d g) that the update is computed in.
+        sq = np.multiply(g, g, out=np.empty_like(g))
+        sq += _EPS1
         if hyper.factored and g.ndim == 2:
             r = state.row.get(name)
             c = state.col.get(name)
@@ -95,16 +99,17 @@ def adafactor_step(
             c = beta * c + (1.0 - beta) * sq.mean(axis=0)
             state.row[name] = r
             state.col[name] = c
-            vhat = np.outer(r, c) / r.mean()
+            u = g * (np.sqrt(r.mean()) / np.sqrt(r))[:, None]
+            u /= np.sqrt(c)
         else:
             v = state.full.get(name)
             if v is None:
                 v = np.zeros_like(g)
             v = beta * v + (1.0 - beta) * sq
             state.full[name] = v
-            vhat = v
-        u = g / np.sqrt(vhat)
-        rms_u = np.sqrt(np.mean(u * u))
-        u = u / max(1.0, rms_u / hyper.clip_threshold)
-        new_params[name] = np.asarray(p, dtype=np.float64) - lr * u
+            u = np.sqrt(v, out=sq)
+            np.divide(g, u, out=u)
+        rms_u = np.sqrt(np.vdot(u, u) / u.size)
+        u *= lr / max(1.0, rms_u / hyper.clip_threshold)
+        new_params[name] = np.subtract(np.asarray(p, dtype=np.float64), u, out=u)
     return new_params, state

@@ -112,6 +112,10 @@ def matmul(a, b):
         return _unbroadcast(ga, av.shape)
 
     def vjp_b(g):
+        if bv.ndim == 2 and av.ndim > 2:
+            # One GEMM over the flattened batch, not a (B, k, n) stack to sum.
+            k = av.shape[-1]
+            return av.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
         gb = np.matmul(np.swapaxes(av, -1, -2), g)
         return _unbroadcast(gb, bv.shape)
 
@@ -178,13 +182,15 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(a):
     """tanh-approximation GELU; the vjp differentiates the approximation."""
     x = _val(a)
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    # Powers as multiplies: numpy's float ** is far slower than a product.
+    x2 = x * x
+    inner = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(inner)
     y = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
+        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return g * dy
 
     return _node(y, [(a, vjp)])
@@ -280,9 +286,12 @@ def _topo(root):
 
 
 def backward(root, seed_grad=None):
-    """Accumulate gradients into .grad of every Var reachable from root.
+    """Accumulate gradients into .grad of the leaf Vars reachable from root.
 
     root must be scalar unless seed_grad supplies the cotangent explicitly.
+    A node with parents has its .grad freed (set to None) once its vjps have
+    run, so intermediate gradients do not outlive their use; only leaves
+    (Vars built directly from arrays) keep a gradient.
     """
     if seed_grad is None:
         if root.value.size != 1:
@@ -299,3 +308,5 @@ def backward(root, seed_grad=None):
                 parent.grad = pg
             else:
                 parent.grad = parent.grad + pg
+        if node._parents:
+            node.grad = None

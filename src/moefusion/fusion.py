@@ -417,25 +417,52 @@ class DecodeRow:
     combined: float
 
 
+def _checked_lattice(path: Path, vocab: Vocab, config: FusionConfig,
+                     lm_config) -> LatticeSource:
+    """Load one lattice and check it against the vocab and the LM context."""
+    source = LatticeSource(load_lattice(path))
+    if source.vocab_size != vocab.size:
+        raise VocabMismatchError(
+            f"{path.name}: lattice vocab {source.vocab_size} != "
+            f"tokenizer vocab {vocab.size}"
+        )
+    if lm_config is not None:
+        # The LM sees BOS plus every content token of a decode.
+        steps = source.max_steps - 1
+        if config.max_len is not None:
+            steps = min(steps, config.max_len)
+        room = lm_config.max_seq_len - 1
+        if steps > room:
+            raise ValueError(
+                f"{path.name}: lattice allows decodes of {steps} tokens, but "
+                f"the LM context holds {room} after BOS; pass --max-len {room} "
+                f"or less"
+            )
+    return source
+
+
 def decode_utterances(
     lattice_dir: str | Path,
     lm,
     config: FusionConfig,
     vocab: Vocab,
 ) -> list[DecodeRow]:
-    """Beam-decode every *.lat file in a directory, sorted by utterance id."""
+    """Beam-decode every *.lat file in a directory, sorted by utterance id.
+
+    Every lattice is loaded and checked before the first one is decoded, so a
+    bad file fails the run before any search work is done. Each is loaded
+    again for its decode, so that only one is held in memory at a time.
+    """
     lattice_dir = Path(lattice_dir)
     paths = sorted(lattice_dir.glob("*.lat"))
     if not paths:
         raise FileNotFoundError(f"no *.lat files in {lattice_dir}")
+    lm_config = getattr(_wrap_lm(lm), "config", None)
+    for p in paths:
+        _checked_lattice(p, vocab, config, lm_config)
     rows: list[DecodeRow] = []
     for p in paths:
-        source = LatticeSource(load_lattice(p))
-        if source.vocab_size != vocab.size:
-            raise VocabMismatchError(
-                f"{p.name}: lattice vocab {source.vocab_size} != "
-                f"tokenizer vocab {vocab.size}"
-            )
+        source = _checked_lattice(p, vocab, config, lm_config)
         best = beam_search_fusion(source, lm, config)[0]
         rows.append(DecodeRow(
             utt_id=p.stem,

@@ -13,6 +13,7 @@ The two agree to within 1e-5 per log-probability; tests enforce this.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Sequence
 
@@ -196,14 +197,20 @@ def init_params(config: MoeLmConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
+@functools.lru_cache(maxsize=16)
 def positional_table(max_len: int, dim: int) -> np.ndarray:
-    """Fixed sinusoidal position encodings, shape (max_len, dim)."""
+    """Fixed sinusoidal position encodings, shape (max_len, dim).
+
+    Built once per (max_len, dim) and shared between callers, so the
+    returned array is read-only.
+    """
     pos = np.arange(max_len)[:, None].astype(np.float64)
     i = np.arange(dim // 2)[None, :].astype(np.float64)
     angles = pos / np.power(10000.0, 2.0 * i / dim)
     table = np.zeros((max_len, dim))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
+    table.flags.writeable = False
     return table
 
 
@@ -249,7 +256,7 @@ def gate_topk(token_repr: np.ndarray, gate_weight: np.ndarray, k: int) -> GateOu
 def _ffn_np(x: np.ndarray, p: FfnParams) -> np.ndarray:
     h = x @ p.w1 + p.b1
     c = np.sqrt(2.0 / np.pi)
-    h = 0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * h ** 3)))
+    h = 0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * (h * h * h))))
     return h @ p.w2 + p.b2
 
 

@@ -152,15 +152,14 @@ def train(
         if not np.isfinite(loss.value):
             raise NumericError(f"training diverged: non-finite loss at step {step}")
         ad.backward(loss)
-        grads = {}
-        for n, v in var_params.items():
-            g = v.grad if v.grad is not None else np.zeros_like(v.value)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(
-                    f"training diverged: non-finite gradient for {n!r} at step {step}"
-                )
-            grads[n] = g
-        params, state = adafactor_step(params, grads, step, hyper, state)
+        grads = {n: v.grad if v.grad is not None else np.zeros_like(v.value)
+                 for n, v in var_params.items()}
+        try:
+            # adafactor_step checks every gradient for finiteness; its message
+            # names the tensor.
+            params, state = adafactor_step(params, grads, step, hyper, state)
+        except NumericError as exc:
+            raise NumericError(f"training diverged at step {step}: {exc}") from exc
         dt = time.perf_counter() - t0
 
         log.steps.append(StepRecord(

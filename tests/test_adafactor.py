@@ -152,3 +152,76 @@ class TestSafety:
         h = AdafactorHyper(learning_rate=0.1, warmup_steps=1)
         adafactor_step(p, {"w": np.ones((3, 3))}, 1, h, AdafactorState())
         assert np.array_equal(p["w"], keep)
+
+
+def reference_step(params, grads, t, hyper, state):
+    """The textbook rule: build vhat = outer(r, c) / mean(r) in full.
+
+    Returns (new params, state, {name: whether the RMS clip was active}).
+    """
+    beta, lr = hyper.decay(t), hyper.lr(t)
+    out, clipped = {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        sq = g * g + 1e-30
+        if hyper.factored and g.ndim == 2:
+            r = state.row.get(name, np.zeros(g.shape[0]))
+            c = state.col.get(name, np.zeros(g.shape[1]))
+            r = beta * r + (1.0 - beta) * sq.mean(axis=1)
+            c = beta * c + (1.0 - beta) * sq.mean(axis=0)
+            state.row[name], state.col[name] = r, c
+            vhat = np.outer(r, c) / r.mean()
+        else:
+            v = beta * state.full.get(name, np.zeros_like(g)) + (1.0 - beta) * sq
+            state.full[name] = v
+            vhat = v
+        u = g / np.sqrt(vhat)
+        rms_u = np.sqrt(np.mean(u * u))
+        clipped[name] = rms_u > hyper.clip_threshold
+        u = u / max(1.0, rms_u / hyper.clip_threshold)
+        out[name] = p - lr * u
+    return out, state, clipped
+
+
+class TestOuterProductFree:
+    """adafactor_step never builds the full moment; it matches the rule that does."""
+
+    @pytest.mark.parametrize("factored", [True, False])
+    @pytest.mark.parametrize("clip", [0.5, 100.0])
+    def test_matches_reference_over_steps(self, factored, clip):
+        rng = np.random.default_rng([7, int(factored), int(clip)])
+        h = AdafactorHyper(learning_rate=0.03, warmup_steps=2,
+                           clip_threshold=clip, factored=factored)
+        shapes = {"w": (6, 9), "tall": (11, 3), "b": (9,)}
+        p = {n: rng.standard_normal(s) + 3.0 for n, s in shapes.items()}
+        pr = {n: v.copy() for n, v in p.items()}
+        s, sr = AdafactorState(), AdafactorState()
+        any_clipped = set()
+        for t in range(1, 4):
+            # uneven row and column scales, so the factored moment is not exact
+            g = {n: rng.standard_normal(shape) * rng.uniform(0.1, 10, shape)
+                 for n, shape in shapes.items()}
+            p_prev = p
+            p_in = {n: v.copy() for n, v in p.items()}
+            g_in = {n: v.copy() for n, v in g.items()}
+            p, s = adafactor_step(p_prev, g, t, h, s)
+            pr, sr, clipped = reference_step(pr, g, t, h, sr)
+            any_clipped |= {n for n, c in clipped.items() if c}
+            for n in shapes:
+                np.testing.assert_allclose(p[n], pr[n], rtol=1e-12, atol=0)
+                assert np.array_equal(g[n], g_in[n])
+                assert np.array_equal(p_prev[n], p_in[n])
+            for acc, ref in ((s.row, sr.row), (s.col, sr.col), (s.full, sr.full)):
+                assert acc.keys() == ref.keys()
+                for n in acc:
+                    np.testing.assert_allclose(acc[n], ref[n], rtol=1e-12, atol=0)
+        # clip 0.5 is active on every tensor, clip 100 on none
+        assert any_clipped == (set(shapes) if clip < 1 else set())
+
+    def test_zero_dim_tensor(self):
+        h = AdafactorHyper(learning_rate=0.1, warmup_steps=1)
+        p, g = {"s": np.array(2.0)}, {"s": np.array(-0.5)}
+        out, _ = adafactor_step(p, g, 1, h, AdafactorState())
+        ref, _, _ = reference_step(p, g, 1, h, AdafactorState())
+        assert out["s"].shape == ()
+        assert out["s"] == pytest.approx(ref["s"], rel=1e-12)

@@ -171,3 +171,65 @@ def test_constants_get_no_gradient():
     assert np.allclose(x.grad, c)
     # the constant never became part of the graph
     assert all(isinstance(p, ad.Var) for p in out._parents)
+
+
+def test_gelu_matches_power_formula():
+    # The op writes x**3 and x**2 as products. Compared against the power
+    # formula relative to max(|ref|, 1): near the zeros of GELU and of its
+    # derivative, cancellation makes a plain relative error meaningless.
+    x = np.linspace(-10.0, 10.0, 20001)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * x ** 3))
+    ref = 0.5 * x * (1.0 + t)
+    dref = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * c * (1.0 + 3 * 0.044715 * x ** 2)
+    xv = ad.Var(x)
+    ad.backward(ad.sum_(ad.gelu(xv)))
+    y = ad.gelu(x).value
+    assert (np.abs(y - ref) / np.maximum(np.abs(ref), 1.0)).max() <= 1e-15
+    assert (np.abs(xv.grad - dref) / np.maximum(np.abs(dref), 1.0)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
+def test_matmul_vjp_b_flattens_the_batch(a_shape):
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal(a_shape)
+    b = ad.Var(rng.standard_normal((4, 6)))
+    g = rng.standard_normal(a_shape[:-1] + (6,))
+    ad.backward(ad.matmul(a, b), seed_grad=g)
+    # the batched-then-summed product the flattened GEMM replaces
+    ref = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, 4, 6).sum(axis=0)
+    assert b.grad.shape == (4, 6)
+    np.testing.assert_allclose(b.grad, ref, rtol=1e-12, atol=1e-12)
+
+
+def keep_all_backward(root):
+    """Reference backward that leaves every node's .grad in place."""
+    root.grad = np.ones_like(root.value)
+    for node in reversed(ad._topo(root)):
+        if node.grad is None:
+            continue
+        for parent, vjp in zip(node._parents, node._vjps):
+            pg = vjp(node.grad)
+            parent.grad = pg if parent.grad is None else parent.grad + pg
+
+
+def test_backward_frees_intermediate_grads():
+    rng = np.random.default_rng(42)
+    xv, wv = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+
+    def graph():
+        x, w = ad.Var(xv), ad.Var(wv)
+        h = ad.gelu(ad.matmul(x, w))
+        h = ad.add(h, ad.scale(h, 0.5))  # h reaches the loss along two paths
+        return x, w, ad.sum_(ad.mul(h, ad.softmax(h)))
+
+    x, w, loss = graph()
+    nodes = ad._topo(loss)
+    ad.backward(loss)
+    assert {id(n) for n in nodes if not n._parents} == {id(x), id(w)}
+    assert all(n.grad is None for n in nodes if n._parents)
+
+    x_ref, w_ref, loss_ref = graph()
+    keep_all_backward(loss_ref)
+    assert np.array_equal(x.grad, x_ref.grad)
+    assert np.array_equal(w.grad, w_ref.grad)

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import moefusion.fusion as fusion_mod
 from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main
-from moefusion.fusion import read_decodes
+from moefusion.fusion import read_decodes, save_lattice
 from moefusion.wer import report_from_json
 
 
@@ -160,6 +162,37 @@ class TestDecodeCommand:
         ra, rb = read_decodes(a), read_decodes(b)
         assert [r.text for r in ra] == [r.text for r in rb]
         assert [r.e2e_logprob for r in ra] == [r.e2e_logprob for r in rb]
+
+    def test_lattice_longer_than_lm_context(self, synth_pipeline, lm_dir,
+                                            tmp_path, capsys, monkeypatch):
+        # 70 rows allow 69 content tokens; the LM holds 63 after BOS.
+        paths = synth_pipeline["paths"]
+        v = synth_pipeline["vocab"].size
+        lat_dir = tmp_path / "lats"
+        lat_dir.mkdir()
+        rng = np.random.default_rng(5)
+        short = rng.standard_normal((12, v))
+        long_ = rng.standard_normal((70, v))
+        for name, x in (("a_short", short), ("b_long", long_)):
+            rows = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+            save_lattice(rows, lat_dir / f"{name}.lat", binary=True)
+        searches = []
+        real_search = fusion_mod.beam_search_fusion
+        monkeypatch.setattr(fusion_mod, "beam_search_fusion",
+                            lambda *a: searches.append(1) or real_search(*a))
+        base = ["decode", "--lattice-dir", str(lat_dir),
+                "--vocab", str(paths.vocab), "--lm", str(lm_dir),
+                "--lambda", "0.3", "--beam", "2"]
+        out = tmp_path / "d.tsv"
+        assert main(base + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "b_long.lat" in err and "69" in err and "63" in err
+        assert "--max-len" in err and "Traceback" not in err
+        assert not out.exists()
+        assert searches == []  # checked before the first beam step
+
+        assert main(base + ["--max-len", "63", "--output", str(out)]) == 0
+        assert [r.utt_id for r in read_decodes(out)] == ["a_short", "b_long"]
 
     def test_corrupt_checkpoint_is_runtime_error(self, synth_pipeline,
                                                  tmp_path, capsys):

@@ -7,6 +7,7 @@ from moefusion.errors import ConfigError
 from moefusion.model import (
     FfnParams, MoeLmConfig, build_forward, gate_topk, init_params,
     initial_state, lm_forward, lm_score_step, moe_layer_forward, param_shapes,
+    positional_table,
 )
 from moefusion.tokenizer import BOS_ID
 
@@ -227,6 +228,19 @@ class TestScoreStep:
             state, _ = lm_score_step(params, tiny_config, state, 4)
         with pytest.raises(ValueError, match="max_seq_len"):
             lm_score_step(params, tiny_config, state, 4)
+
+
+class TestPositionalTable:
+    def test_cached_and_read_only(self):
+        a = positional_table(16, 8)
+        assert positional_table(16, 8) is a
+        assert positional_table(16, 10) is not a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        # row p holds sin/cos of p / 10000^(2i/dim) in alternating columns
+        assert a[3, 2] == pytest.approx(np.sin(3 / 10000 ** (2 / 8)))
+        assert a[3, 3] == pytest.approx(np.cos(3 / 10000 ** (2 / 8)))
 
 
 class TestInit:

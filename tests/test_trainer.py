@@ -1,8 +1,11 @@
 """Training loop behavior: progress, determinism, padding neutrality."""
 
+import re
+
 import numpy as np
 import pytest
 
+import moefusion.trainer as trainer_mod
 from moefusion import autodiff as ad
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError
@@ -136,6 +139,25 @@ class TestFailure:
             with pytest.raises(NumericError, match=r"step 1"):
                 train(corpus(), CFG, HYPER, steps=5, seed=0, batch_size=4,
                       init=bad)
+
+    def test_non_finite_gradient_names_step_and_tensor(self, monkeypatch):
+        real = trainer_mod.batch_loss
+
+        def poisoned(params, batch, config, moe_impl="sparse"):
+            # A zero-valued term whose vjp hands final_ln.gain a NaN: the loss
+            # stays finite and only the gradient goes bad.
+            loss, extras = real(params, batch, config, moe_impl=moe_impl)
+            gain = params["final_ln.gain"]
+            bad = ad.Var(0.0, (gain,),
+                         (lambda g: np.full(gain.shape, np.nan),))
+            return ad.add(loss, bad), extras
+
+        monkeypatch.setattr(trainer_mod, "batch_loss", poisoned)
+        with pytest.raises(NumericError) as info:
+            train(corpus(), CFG, HYPER, steps=3, seed=0, batch_size=4)
+        msg = str(info.value)
+        assert re.search(r"\bstep 1\b", msg)
+        assert "'final_ln.gain'" in msg and "non-finite" in msg
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
