@@ -4,7 +4,7 @@ from .accounting import FlopReport, count_params_flops
 from .adafactor import AdafactorHyper, AdafactorState, adafactor_step
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .fusion import (
-    FusionConfig, Hypothesis, LatticeSource, ModelSource,
+    FusionConfig, Hypothesis, LatticeSource,
     beam_search_fusion, exhaustive_oracle, fuse, e2e_step,
     load_lattice, save_lattice,
 )
@@ -12,7 +12,7 @@ from .model import (
     GateOutput, LmState, MoeLmConfig,
     gate_topk, init_params, lm_forward, lm_score_step, moe_layer_forward,
 )
-from .numerics import GradCheckReport, grad_check, log_softmax, logsumexp, matmul
+from .numerics import GradCheckReport, grad_check, log_softmax, logsumexp
 from .packing import PackedBatch, pack_batches
 from .tokenizer import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID,

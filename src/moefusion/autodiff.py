@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import numerics
+
 __all__ = [
     "Var",
     "add", "sub", "mul", "neg", "pow_const", "scale",
@@ -152,10 +154,7 @@ def mean(a, axis=None, keepdims=False):
 
 
 def softmax(a, axis=-1):
-    av = _val(a)
-    m = av.max(axis=axis, keepdims=True)
-    e = np.exp(av - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = numerics.softmax(_val(a), axis=axis)
 
     def vjp(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
@@ -164,11 +163,8 @@ def softmax(a, axis=-1):
 
 
 def log_softmax(a, axis=-1):
-    av = _val(a)
-    m = av.max(axis=axis, keepdims=True)
-    shifted = av - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
+    """Checked: a non-finite input raises NumericError."""
+    y = numerics.log_softmax(_val(a), axis=axis)
 
     def vjp(g):
         return g - np.exp(y) * g.sum(axis=axis, keepdims=True)

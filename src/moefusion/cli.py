@@ -107,7 +107,6 @@ def cmd_train_lm(args) -> int:
     steps = r("steps", int, 200)
     batch_size = r("batch_size", int, 8)
     packing_factor = r("packing_factor", int, 4)
-    moe_impl = r("moe_impl", str, "sparse")
     seed = args.seed
 
     sentences = [
@@ -119,7 +118,7 @@ def cmd_train_lm(args) -> int:
     ckpt, log = train(
         sentences, config, hyper, steps=steps, seed=seed,
         batch_size=batch_size, packing_factor=packing_factor,
-        moe_impl=moe_impl, checkpoint_dir=out_dir,
+        checkpoint_dir=out_dir,
     )
     log.write_csv(out_dir / "train_log.csv")
     first, last = log.steps[0], log.steps[-1]
@@ -276,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="moefusion",
         description="Sparse MoE language model with shallow-fusion decoding.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; this build is single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-tokenizer", help="induce a wordpiece vocab")
@@ -301,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p.add_argument(flag, type=typ, default=None)
     p.add_argument("--lr-schedule", choices=["inverse_sqrt", "constant"], default=None)
-    p.add_argument("--moe-impl", choices=["sparse", "dense"], default=None)
     p.add_argument("--untied", action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_train_lm)
 
@@ -367,8 +363,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

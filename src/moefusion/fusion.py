@@ -1,8 +1,8 @@
 """Shallow-fusion beam search over an external posterior source and an LM.
 
 Hypotheses are scored as combined = e2e_logprob + lam * lm_logprob. The
-posterior source is either a lattice (precomputed per-step log-distributions,
-prefix-independent) or an autoregressive model queried stepwise. max_len
+posterior source is any object with step(prefix, t); LatticeSource serves
+precomputed, prefix-independent per-step log-distributions. max_len
 counts content tokens; a hypothesis reaching it may only extend with EOS,
 which makes the beam's search space identical to the exhaustive oracle's.
 
@@ -27,7 +27,7 @@ from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 
 __all__ = [
     "LOG_FLOOR", "FusionConfig", "Hypothesis",
-    "LatticeSource", "ModelSource", "CheckpointLmScorer",
+    "LatticeSource", "CheckpointLmScorer",
     "fuse", "e2e_step", "beam_search_fusion", "exhaustive_oracle",
     "load_lattice", "save_lattice", "DecodeRow", "decode_utterances",
     "write_decodes", "read_decodes",
@@ -133,41 +133,6 @@ class CheckpointLmScorer:
 
     def advance(self, state: LmState, token: int) -> tuple[LmState, np.ndarray]:
         return lm_score_step(self._params, self.config, state, int(token))
-
-
-class ModelSource:
-    """Posterior backed by an autoregressive checkpoint, queried stepwise.
-
-    Rows are memoized per prefix, so repeated queries are pure: the same
-    prefix always yields the identical row.
-    """
-
-    def __init__(self, ckpt: Checkpoint):
-        self._scorer = CheckpointLmScorer(ckpt)
-        self.vocab_size = self._scorer.vocab_size
-        self.max_steps = ckpt.config.max_seq_len - 1
-        self._memo: dict[tuple[int, ...], tuple[LmState, np.ndarray]] = {
-            (): self._scorer.start()
-        }
-
-    def _ensure(self, prefix: tuple[int, ...]) -> tuple[LmState, np.ndarray]:
-        hit = self._memo.get(prefix)
-        if hit is not None:
-            return hit
-        state, _ = self._ensure(prefix[:-1])
-        entry = self._scorer.advance(state, prefix[-1])
-        self._memo[prefix] = entry
-        return entry
-
-    def step(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
-        prefix = tuple(int(x) for x in prefix)
-        if t != len(prefix):
-            raise ValueError(
-                f"model source row {t} requested for a {len(prefix)}-token prefix"
-            )
-        if t >= self.max_steps:
-            raise ValueError(f"model context exhausted at step {t}")
-        return self._ensure(prefix)[1]
 
 
 def fuse(e2e_logprob: float, lm_logprob: float, lam: float) -> float:

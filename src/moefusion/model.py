@@ -9,6 +9,9 @@ Two execution paths share the same parameters:
   * build_forward: batched differentiable graph (training and full scoring),
   * lm_score_step: incremental numpy path with per-layer KV caches (decoding).
 The two agree to within 1e-5 per log-probability; tests enforce this.
+lm_score_step keeps a numpy layer norm and FFN: an autodiff op per primitive
+would dominate a one-token step. build_forward and moe_layer_forward run the
+one mixture routine, _mixture, whose dense variant is the sparse reference.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericError
-from .numerics import check_finite
+from .errors import ConfigError
+from .numerics import check_finite, log_softmax, softmax
 from .tokenizer import BOS_ID
 
 __all__ = [
@@ -108,7 +111,7 @@ class GateOutput:
 
 @dataclass
 class FfnParams:
-    """One two-layer GELU FFN block (dense layer or a single expert)."""
+    """One two-layer GELU FFN block (dense layer or one expert); arrays or Vars."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -148,19 +151,12 @@ def param_shapes(config: MoeLmConfig) -> dict[str, tuple[int, ...]]:
         shapes[p + "attn.wo"] = (d, d)
         shapes[p + "ln2.gain"] = (d,)
         shapes[p + "ln2.bias"] = (d,)
+        ffns = [p + "ffn."]
         if config.is_moe_layer(i):
             shapes[p + "gate.weight"] = (d, e)
-            for x in range(e):
-                q = f"{p}expert{x:02d}."
-                shapes[q + "w1"] = (d, f)
-                shapes[q + "b1"] = (f,)
-                shapes[q + "w2"] = (f, d)
-                shapes[q + "b2"] = (d,)
-        else:
-            shapes[p + "ffn.w1"] = (d, f)
-            shapes[p + "ffn.b1"] = (f,)
-            shapes[p + "ffn.w2"] = (f, d)
-            shapes[p + "ffn.b2"] = (d,)
+            ffns = [f"{p}expert{x:02d}." for x in range(e)]
+        for q in ffns:
+            shapes.update({q + "w1": (d, f), q + "b1": (f,), q + "w2": (f, d), q + "b2": (d,)})
     shapes["final_ln.gain"] = (d,)
     shapes["final_ln.bias"] = (d,)
     if not config.tied_embeddings:
@@ -214,18 +210,6 @@ def positional_table(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
-def _softmax_np(x, axis=-1):
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _log_softmax_np(x, axis=-1):
-    m = x.max(axis=axis, keepdims=True)
-    s = x - m
-    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
-
-
 def _topk_indices(logits_2d: np.ndarray, k: int) -> np.ndarray:
     """Top-k per row by logit value, ties to the lower expert index."""
     order = np.argsort(-logits_2d, axis=-1, kind="stable")
@@ -245,7 +229,7 @@ def gate_topk(token_repr: np.ndarray, gate_weight: np.ndarray, k: int) -> GateOu
         raise ConfigError(f"cannot select top-{k} of {e} experts")
     logits = check_finite(token_repr @ gate_weight, "gate logits")
     sel = _topk_indices(logits[None, :], k)[0]
-    weights = _softmax_np(logits[sel])
+    weights = softmax(logits[sel])
     return GateOutput(
         expert_indices=tuple(int(i) for i in sel),
         combine_weights=weights,
@@ -260,6 +244,11 @@ def _ffn_np(x: np.ndarray, p: FfnParams) -> np.ndarray:
     return h @ p.w2 + p.b2
 
 
+def _ffn_params(p: Mapping, prefix: str) -> FfnParams:
+    return FfnParams(w1=p[prefix + "w1"], b1=p[prefix + "b1"],
+                     w2=p[prefix + "w2"], b2=p[prefix + "b2"])
+
+
 def moe_layer_forward(
     x: np.ndarray,
     gate_weight: np.ndarray,
@@ -269,50 +258,24 @@ def moe_layer_forward(
 ) -> np.ndarray:
     """Mixture-of-experts FFN over a (T, d) block of token representations.
 
-    impl="sparse" runs only the selected experts per token. impl="dense"
-    evaluates every expert and mixes with the masked, renormalized gate
-    weights; it requires k == len(experts) and exists as the reduction target
-    the sparse path is tested against.
+    Runs the training mixture (_mixture) on plain arrays. impl="sparse" runs
+    only the selected experts per token. impl="dense" evaluates every expert
+    and mixes with the full gate softmax; it requires k == len(experts) and
+    exists as the reduction target the sparse path is tested against.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = len(experts)
-    if k > e:
-        raise ConfigError(f"cannot select top-{k} of {e} experts")
-    logits = check_finite(x @ gate_weight, "gate logits")
-    if impl == "dense":
-        if k != e:
-            raise ConfigError("dense mixture requires experts_per_token == num_experts")
-        weights = _softmax_np(logits)
-        out = np.zeros_like(x)
-        for idx, p in enumerate(experts):
-            out += weights[:, idx : idx + 1] * _ffn_np(x, p)
-        return out
-    if impl != "sparse":
-        raise ValueError(f"unknown impl {impl!r}")
-    sel = _topk_indices(logits, k)
-    selw = _softmax_np(np.take_along_axis(logits, sel, axis=1))
-    out = np.zeros_like(x)
-    for idx, p in enumerate(experts):
-        tok, slot = np.nonzero(sel == idx)
-        if tok.size == 0:
-            continue
-        out[tok] += selw[tok, slot][:, None] * _ffn_np(x[tok], p)
-    return out
+    out, _, _ = _mixture(x, gate_weight, experts, k, impl)
+    return out.value if isinstance(out, ad.Var) else out
 
 
 def _segment_positions(segment_ids: np.ndarray) -> np.ndarray:
-    """Position of each token within its own segment (0 at segment start)."""
+    """Position of each token within its run of equal segment ids (0 at its start)."""
     b, t = segment_ids.shape
-    pos = np.zeros((b, t), dtype=np.int64)
-    for r in range(b):
-        run = 0
-        for c in range(t):
-            if c > 0 and segment_ids[r, c] == segment_ids[r, c - 1]:
-                run += 1
-            else:
-                run = 0
-            pos[r, c] = run
-    return pos
+    col = np.broadcast_to(np.arange(t, dtype=np.int64), (b, t))
+    starts = np.ones((b, t), dtype=bool)
+    starts[:, 1:] = segment_ids[:, 1:] != segment_ids[:, :-1]
+    run_start = np.maximum.accumulate(np.where(starts, col, 0), axis=1)
+    return col - run_start
 
 
 def _attention_bias(segment_ids: np.ndarray) -> np.ndarray:
@@ -352,9 +315,50 @@ def _attention_block(x, p, prefix, bias, config):
     return ad.matmul(ctx, p[prefix + "attn.wo"])
 
 
-def _dense_ffn_block(x, p, prefix):
-    h = ad.gelu(ad.add(ad.matmul(x, p[prefix + "w1"]), p[prefix + "b1"]))
-    return ad.add(ad.matmul(h, p[prefix + "w2"]), p[prefix + "b2"])
+def _ffn(x, p: FfnParams):
+    h = ad.gelu(ad.add(ad.matmul(x, p.w1), p.b1))
+    return ad.add(ad.matmul(h, p.w2), p.b2)
+
+
+def _mixture(flat, gate_weight, experts: Sequence[FfnParams], k: int, impl: str):
+    """Top-k mixture of expert FFNs over (N, d) tokens; returns (out, probs, sel).
+
+    probs is the (N, E) gate softmax, sel the (N, k) choice (ties to the lower
+    index). "sparse" runs each expert on its tokens, mixed by the softmax of
+    the selected logits; "dense" runs every expert on every token, mixed by
+    probs, and needs k == E, where the two are the same function.
+    """
+    n, d = flat.shape
+    e = len(experts)
+    if k > e:
+        raise ConfigError(f"cannot select top-{k} of {e} experts")
+    if impl not in ("sparse", "dense"):
+        raise ValueError(f"unknown impl {impl!r}")
+    if impl == "dense" and k != e:
+        raise ConfigError("dense mixture requires experts_per_token == num_experts")
+    gate_logits = ad.matmul(flat, gate_weight)
+    check_finite(gate_logits.value, "gate logits")
+    probs = ad.softmax(gate_logits, axis=-1)
+    sel = _topk_indices(gate_logits.value, k)
+
+    if impl == "dense":
+        out = None
+        for idx, expert in enumerate(experts):
+            col = ad.gather_cols(probs, np.full((n, 1), idx, dtype=np.int64))
+            term = ad.mul(_ffn(flat, expert), col)
+            out = term if out is None else ad.add(out, term)
+        return out, probs, sel
+
+    selw = ad.softmax(ad.gather_cols(gate_logits, sel), axis=-1)
+    out = np.zeros((n, d))
+    for idx, expert in enumerate(experts):
+        tok, slot = np.nonzero(sel == idx)
+        if tok.size == 0:
+            continue
+        y = _ffn(ad.take_rows(flat, tok), expert)
+        w = ad.reshape(ad.gather_pairs(selw, tok, slot), (tok.size, 1))
+        out = ad.scatter_add_rows(out, tok, ad.mul(y, w))
+    return out, probs, sel
 
 
 def _moe_block(x, p, prefix, config, moe_impl, live_flat):
@@ -364,40 +368,12 @@ def _moe_block(x, p, prefix, config, moe_impl, live_flat):
     padding content can never influence the balance penalty.
     """
     b, t, d = x.shape
-    n = b * t
     e, k = config.num_experts, config.experts_per_token
-    flat = ad.reshape(x, (n, d))
-    gate_logits = ad.matmul(flat, p[prefix + "gate.weight"])
-    probs = ad.softmax(gate_logits, axis=-1)
-
-    sel = _topk_indices(gate_logits.value, k)
+    experts = [_ffn_params(p, f"{prefix}expert{idx:02d}.") for idx in range(e)]
+    out, probs, sel = _mixture(ad.reshape(x, (b * t, d)), p[prefix + "gate.weight"],
+                               experts, k, moe_impl)
     n_live = int(live_flat.sum())
     counts = np.bincount(sel[live_flat].ravel(), minlength=e)
-
-    if moe_impl == "dense":
-        if k != e:
-            raise ConfigError("dense mixture requires experts_per_token == num_experts")
-        acc = None
-        for idx in range(e):
-            expert = _dense_ffn_block(flat, p, f"{prefix}expert{idx:02d}.")
-            col = ad.gather_cols(probs, np.full((n, 1), idx, dtype=np.int64))
-            term = ad.mul(expert, col)
-            acc = term if acc is None else ad.add(acc, term)
-        out_flat = acc
-    elif moe_impl == "sparse":
-        selw = ad.softmax(ad.gather_cols(gate_logits, sel), axis=-1)
-        acc = np.zeros((n, d))
-        for idx in range(e):
-            tok, slot = np.nonzero(sel == idx)
-            if tok.size == 0:
-                continue
-            rows = ad.take_rows(flat, tok)
-            expert = _dense_ffn_block(rows, p, f"{prefix}expert{idx:02d}.")
-            w = ad.reshape(ad.gather_pairs(selw, tok, slot), (tok.size, 1))
-            acc = ad.scatter_add_rows(acc, tok, ad.mul(expert, w))
-        out_flat = acc
-    else:
-        raise ValueError(f"unknown moe_impl {moe_impl!r}")
 
     # Load-balance term: (E/k) * sum_e assignment_fraction_e * mean_prob_e,
     # exactly 1.0 under perfectly uniform routing.
@@ -407,7 +383,7 @@ def _moe_block(x, p, prefix, config, moe_impl, live_flat):
     importance = ad.scale(ad.sum_(masked, axis=0), 1.0 / denom)
     aux = ad.scale(ad.sum_(ad.mul(importance, load)), e / k)
 
-    return ad.reshape(out_flat, (b, t, d)), aux, counts
+    return ad.reshape(out, (b, t, d)), aux, counts
 
 
 def build_forward(
@@ -454,7 +430,7 @@ def build_forward(
             aux_terms.append(aux)
             counts_per_layer.append(counts)
         else:
-            out = _dense_ffn_block(h2, params, prefix + "ffn.")
+            out = _ffn(h2, _ffn_params(params, prefix + "ffn."))
         x = ad.add(x, out)
 
     x = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
@@ -462,7 +438,6 @@ def build_forward(
         logits = ad.matmul(x, ad.swapaxes(params["embed.weight"], 0, 1))
     else:
         logits = ad.matmul(x, params["lm_head.weight"])
-    check_finite(logits.value, "lm logits")
     log_probs = ad.log_softmax(logits, axis=-1)
 
     aux_loss = None
@@ -541,7 +516,7 @@ def lm_score_step(
         new_keys.append(keys)
         new_values.append(values)
         scores = np.einsum("hd,hpd->hp", q, keys) / np.sqrt(dh)
-        attn = _softmax_np(scores, axis=-1)
+        attn = softmax(scores, axis=-1)
         ctx = np.einsum("hp,hpd->hd", attn, values).reshape(d)
         x = x + ctx @ params[prefix + "attn.wo"]
 
@@ -551,19 +526,10 @@ def lm_score_step(
                              config.experts_per_token)
             out = np.zeros(d)
             for w, idx in zip(gate.combine_weights, gate.expert_indices):
-                ep = FfnParams(
-                    w1=params[f"{prefix}expert{idx:02d}.w1"],
-                    b1=params[f"{prefix}expert{idx:02d}.b1"],
-                    w2=params[f"{prefix}expert{idx:02d}.w2"],
-                    b2=params[f"{prefix}expert{idx:02d}.b2"],
-                )
+                ep = _ffn_params(params, f"{prefix}expert{idx:02d}.")
                 out += w * _ffn_np(h2[None, :], ep)[0]
         else:
-            ep = FfnParams(
-                w1=params[prefix + "ffn.w1"], b1=params[prefix + "ffn.b1"],
-                w2=params[prefix + "ffn.w2"], b2=params[prefix + "ffn.b2"],
-            )
-            out = _ffn_np(h2[None, :], ep)[0]
+            out = _ffn_np(h2[None, :], _ffn_params(params, prefix + "ffn."))[0]
         x = x + out
 
     x = _layer_norm_np(x, params["final_ln.gain"], params["final_ln.bias"])
@@ -571,8 +537,6 @@ def lm_score_step(
         logits = x @ params["embed.weight"].T
     else:
         logits = x @ params["lm_head.weight"]
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits in incremental scoring step")
-    log_probs = _log_softmax_np(logits)
+    log_probs = log_softmax(logits)
     new_state = LmState(keys=new_keys, values=new_values, position=state.position + 1)
     return new_state, log_probs

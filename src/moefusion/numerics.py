@@ -1,9 +1,9 @@
 """Dense numeric kernels and the finite-difference gradient checker.
 
 Everything operates on plain numpy arrays in float64 unless the caller passes
-something narrower. All public functions enforce the package-wide contract
-that values are finite; a NaN or Inf raises NumericError instead of
-propagating.
+something narrower. All public functions but softmax enforce the
+package-wide contract that values are finite; a NaN or Inf raises
+NumericError instead of propagating.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import NumericError
 
 __all__ = [
     "check_finite",
-    "matmul",
+    "softmax",
     "log_softmax",
     "logsumexp",
     "GradCheckReport",
@@ -28,27 +28,10 @@ __all__ = [
 def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     """Return x unchanged, raising NumericError if any element is NaN/Inf."""
     x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         bad = int(np.size(x) - np.count_nonzero(np.isfinite(x)))
         raise NumericError(f"{what} contains {bad} non-finite value(s)")
     return x
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays with shape and finiteness checks."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(
-            f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    check_finite(a, "matmul left operand")
-    check_finite(b, "matmul right operand")
-    return a @ b
 
 
 def logsumexp(v: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -64,6 +47,18 @@ def logsumexp(v: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along axis, computed with max subtraction.
+
+    The one kernel here without a finiteness check: on the short attention and
+    routing rows of a decode step the scan would double its cost. Gate logits
+    are checked where formed; attention NaNs reach the checked LM log_softmax.
+    """
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Log of softmax along axis, computed with max subtraction.
 
@@ -74,9 +69,8 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     if x.size == 0 or x.shape[axis] == 0:
         raise ValueError("log_softmax of an empty axis is undefined")
     check_finite(x, "log_softmax input")
-    m = np.max(x, axis=axis, keepdims=True)
-    shifted = x - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 @dataclass

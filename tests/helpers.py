@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from moefusion.checkpoint import Checkpoint
+from moefusion.fusion import CheckpointLmScorer
+from moefusion.model import LmState
 from moefusion.numerics import log_softmax
 
 
@@ -30,6 +33,42 @@ class TableLm:
     def advance(self, state: int, token: int):
         nxt = (state * 31 + int(token) + 1) % len(self.rows)
         return nxt, self.rows[nxt]
+
+
+class ModelSource:
+    """Posterior backed by an autoregressive checkpoint, queried stepwise.
+
+    Rows are memoized per prefix, so repeated queries are pure: the same
+    prefix always yields the identical row. The memo is never pruned, so it
+    suits small searches only.
+    """
+
+    def __init__(self, ckpt: Checkpoint):
+        self._scorer = CheckpointLmScorer(ckpt)
+        self.vocab_size = self._scorer.vocab_size
+        self.max_steps = ckpt.config.max_seq_len - 1
+        self._memo: dict[tuple[int, ...], tuple[LmState, np.ndarray]] = {
+            (): self._scorer.start()
+        }
+
+    def _ensure(self, prefix: tuple[int, ...]) -> tuple[LmState, np.ndarray]:
+        hit = self._memo.get(prefix)
+        if hit is not None:
+            return hit
+        state, _ = self._ensure(prefix[:-1])
+        entry = self._scorer.advance(state, prefix[-1])
+        self._memo[prefix] = entry
+        return entry
+
+    def step(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
+        prefix = tuple(int(x) for x in prefix)
+        if t != len(prefix):
+            raise ValueError(
+                f"model source row {t} requested for a {len(prefix)}-token prefix"
+            )
+        if t >= self.max_steps:
+            raise ValueError(f"model context exhausted at step {t}")
+        return self._ensure(prefix)[1]
 
 
 class UniformLm:

@@ -36,12 +36,6 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert main(["train-tokenizer", "--vocab-size", "64"]) == 1
 
-    def test_bad_threads(self, capsys):
-        assert main(["--threads", "0", "flops"]) == 1
-
-    def test_threads_accepted(self, capsys):
-        assert main(["--threads", "4", "flops"]) == 0
-
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["train-tokenizer", "--manifest", str(tmp_path / "nope"),
                    "--vocab-size", "64",

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import TableLm, UniformLm, random_lattice
+from helpers import ModelSource, TableLm, UniformLm, random_lattice
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
 from moefusion.fusion import (
-    DecodeRow, FusionConfig, LatticeSource, ModelSource, CheckpointLmScorer,
+    DecodeRow, FusionConfig, LatticeSource, CheckpointLmScorer,
     beam_search_fusion, decode_utterances, e2e_step, exhaustive_oracle, fuse,
     load_lattice, read_decodes, save_lattice, write_decodes,
 )

@@ -5,9 +5,9 @@ import pytest
 
 from moefusion.errors import ConfigError
 from moefusion.model import (
-    FfnParams, MoeLmConfig, build_forward, gate_topk, init_params,
-    initial_state, lm_forward, lm_score_step, moe_layer_forward, param_shapes,
-    positional_table,
+    FfnParams, MoeLmConfig, _ffn_np, _segment_positions, build_forward,
+    gate_topk, init_params, initial_state, lm_forward, lm_score_step,
+    moe_layer_forward, param_shapes, positional_table,
 )
 from moefusion.tokenizer import BOS_ID
 
@@ -129,6 +129,26 @@ class TestMoeLayer:
             moe_layer_forward(np.ones((2, 4)), np.ones((4, 2)),
                               make_experts(4, 8, 2), 2, impl="magic")
 
+    def test_k_above_expert_count_rejected(self):
+        with pytest.raises(ConfigError):
+            moe_layer_forward(np.ones((2, 4)), np.ones((4, 2)),
+                              make_experts(4, 8, 2), 3)
+
+    @pytest.mark.parametrize("e", [2, 4, 16])
+    def test_decode_step_mixture_matches_layer(self, e):
+        # lm_score_step mixes one token as gate_topk + _ffn_np per selected
+        # expert; moe_layer_forward runs the training mixture.
+        d, f, k = 8, 32, 2
+        rng = np.random.default_rng(40 + e)
+        experts = make_experts(d, f, e, seed=e)
+        gate = rng.standard_normal((d, e))
+        for row in rng.standard_normal((20, d)):
+            g = gate_topk(row, gate, k)
+            step = sum(w * _ffn_np(row[None, :], experts[i])[0]
+                       for w, i in zip(g.combine_weights, g.expert_indices))
+            layer = moe_layer_forward(row[None, :], gate, experts, k)[0]
+            assert np.abs(step - layer).max() < 1e-12
+
 
 class TestForward:
     def test_rows_are_log_distributions(self, tiny_config):
@@ -186,6 +206,45 @@ class TestForward:
         # identical isolated segments must produce identical rows
         assert np.allclose(out.log_probs.value[0, :4],
                            out.log_probs.value[0, 4:], atol=1e-12)
+
+
+def loop_segment_positions(segment_ids):
+    """Reference: count up within each run of equal ids, restart on a change."""
+    b, t = segment_ids.shape
+    pos = np.zeros((b, t), dtype=np.int64)
+    for r in range(b):
+        run = 0
+        for c in range(t):
+            if c > 0 and segment_ids[r, c] == segment_ids[r, c - 1]:
+                run += 1
+            else:
+                run = 0
+            pos[r, c] = run
+    return pos
+
+
+class TestSegmentPositions:
+    def test_hand_example(self):
+        segs = np.array([[1, 1, 1, 2, 2, 0, 0], [3, 0, 0, 0, 4, 4, 4]])
+        assert _segment_positions(segs).tolist() == [
+            [0, 1, 2, 0, 1, 0, 1], [0, 0, 1, 2, 0, 1, 2]]
+
+    def test_matches_loop_on_random_packings(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            b, t = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+            rows = []
+            for _ in range(b):
+                row, seg = [], 0
+                while len(row) < t:
+                    # A sentence run, or a padding (0) run now and then.
+                    seg = 0 if seg and rng.random() < 0.3 else seg + 1
+                    row += [seg] * int(rng.integers(1, 9))
+                rows.append(row[:t])
+            segs = np.array(rows, dtype=np.int64)
+            got = _segment_positions(segs)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, loop_segment_positions(segs))
 
 
 class TestScoreStep:

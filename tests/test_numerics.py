@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from moefusion.errors import NumericError
-from moefusion.numerics import grad_check, log_softmax, logsumexp, matmul
+from moefusion.numerics import grad_check, log_softmax, logsumexp, softmax
 
 
 def mp_log_softmax(values):
@@ -24,30 +24,23 @@ def mp_logsumexp(values):
         return float(mpmath.log(sum(mpmath.e**(v - m) for v in vals)) + m)
 
 
-class TestMatmul:
-    def test_hand_value(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
+class TestSoftmax:
+    def test_rows_sum_to_one_at_large_magnitude(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((50, 9)) * 1e3
+        x[0] = [1e3, -1e3, 999.5, 0.0, 1e3, -999.0, 500.0, 2.0, 1e3]
+        p = softmax(x, axis=-1)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0)
+        assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12
 
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 5))
-        assert np.array_equal(matmul(a, np.eye(5)), a)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"2x3 by 2x3"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            matmul(np.ones(3), np.ones((3, 2)))
-
-    def test_rejects_nan(self):
-        a = np.ones((2, 2))
-        a[0, 0] = np.nan
-        with pytest.raises(NumericError):
-            matmul(a, np.ones((2, 2)))
+    def test_equals_exp_of_log_softmax(self):
+        rng = np.random.default_rng(4)
+        for scale in (1.0, 30.0, 1e3):
+            x = rng.standard_normal((4, 6, 11)) * scale
+            for axis in (-1, 1):
+                assert np.allclose(softmax(x, axis=axis),
+                                   np.exp(log_softmax(x, axis=axis)),
+                                   rtol=1e-12, atol=1e-300)
 
 
 class TestLogSoftmax:
