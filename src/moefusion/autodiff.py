@@ -2,9 +2,13 @@
 
 A Var wraps an ndarray value plus the closures needed to push a cotangent
 back to its parents. Plain ndarrays (or scalars) mixed into an op are treated
-as constants and receive no gradient. The op set is exactly what the language
-model forward pass needs; each vector-Jacobian product is hand-written and
-covered by finite-difference tests.
+as constants and receive no gradient. An op whose inputs are all constants
+returns a bare ndarray and records nothing, so the same layer code runs a
+training graph on Vars and a plain numpy computation on arrays. Var supports
+`+` and `@` (either side may be an ndarray); every other op is a function.
+The op set is exactly what the language model forward pass needs; each
+vector-Jacobian product is hand-written and covered by finite-difference
+tests.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from . import numerics
 
 __all__ = [
     "Var",
-    "add", "sub", "mul", "neg", "pow_const", "scale",
+    "value",
+    "add", "mul", "neg", "scale",
     "matmul", "reshape", "swapaxes",
-    "sum_", "mean",
-    "softmax", "log_softmax", "gelu",
+    "sum_",
+    "softmax", "log_softmax", "gelu", "layer_norm",
     "take_rows", "gather_cols", "gather_pairs", "gather_last",
     "scatter_add_rows",
     "backward",
@@ -29,6 +34,9 @@ class Var:
     """Node in the computation graph."""
 
     __slots__ = ("value", "grad", "_parents", "_vjps")
+    # numpy defers to Var, so ndarray + Var and ndarray @ Var reach __radd__
+    # and __rmatmul__ instead of building an object array.
+    __array_ufunc__ = None
 
     def __init__(self, value, _parents=(), _vjps=()):
         self.value = np.asarray(value, dtype=np.float64)
@@ -43,15 +51,30 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
 
+    def __add__(self, other):
+        return add(self, other)
 
-def _val(x):
+    def __radd__(self, other):
+        return add(other, self)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
+
+def value(x):
+    """The array behind x: a Var's value, or x itself as a float64 array."""
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _node(value, links):
-    """Build a Var from (parent, vjp) pairs, dropping constant parents."""
-    links = [(p, f) for p, f in links if isinstance(p, Var)]
-    return Var(value, tuple(p for p, _ in links), tuple(f for _, f in links))
+def _node(out, links):
+    """A Var over the Var parents of (parent, vjp) pairs; bare out if none."""
+    for p, _ in links:
+        if isinstance(p, Var):
+            return Var(out, *zip(*[link for link in links if isinstance(link[0], Var)]))
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -65,23 +88,15 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    av, bv = _val(a), _val(b)
+    av, bv = value(a), value(b)
     return _node(av + bv, [
         (a, lambda g: _unbroadcast(g, av.shape)),
         (b, lambda g: _unbroadcast(g, bv.shape)),
     ])
 
 
-def sub(a, b):
-    av, bv = _val(a), _val(b)
-    return _node(av - bv, [
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(-g, bv.shape)),
-    ])
-
-
 def mul(a, b):
-    av, bv = _val(a), _val(b)
+    av, bv = value(a), value(b)
     return _node(av * bv, [
         (a, lambda g: _unbroadcast(g * bv, av.shape)),
         (b, lambda g: _unbroadcast(g * av, bv.shape)),
@@ -89,24 +104,18 @@ def mul(a, b):
 
 
 def neg(a):
-    return _node(-_val(a), [(a, lambda g: -g)])
+    return _node(-value(a), [(a, lambda g: -g)])
 
 
 def scale(a, c):
     """Multiply by a python float constant."""
     c = float(c)
-    return _node(_val(a) * c, [(a, lambda g: g * c)])
-
-
-def pow_const(a, p):
-    av = _val(a)
-    p = float(p)
-    return _node(av ** p, [(a, lambda g: g * p * av ** (p - 1.0))])
+    return _node(value(a) * c, [(a, lambda g: g * c)])
 
 
 def matmul(a, b):
     """Batched matrix product; batch dims of Var operands must match exactly."""
-    av, bv = _val(a), _val(b)
+    av, bv = value(a), value(b)
     out = np.matmul(av, bv)
 
     def vjp_a(g):
@@ -125,17 +134,17 @@ def matmul(a, b):
 
 
 def reshape(a, shape):
-    av = _val(a)
+    av = value(a)
     return _node(av.reshape(shape), [(a, lambda g: g.reshape(av.shape))])
 
 
 def swapaxes(a, ax1, ax2):
-    return _node(np.swapaxes(_val(a), ax1, ax2),
+    return _node(np.swapaxes(value(a), ax1, ax2),
                  [(a, lambda g: np.swapaxes(g, ax1, ax2))])
 
 
 def sum_(a, axis=None, keepdims=False):
-    av = _val(a)
+    av = value(a)
 
     def vjp(g):
         if axis is None:
@@ -146,15 +155,8 @@ def sum_(a, axis=None, keepdims=False):
     return _node(av.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
-def mean(a, axis=None, keepdims=False):
-    av = _val(a)
-    n = av.size if axis is None else av.shape[axis]
-    s = sum_(a, axis=axis, keepdims=keepdims)
-    return scale(s, 1.0 / n)
-
-
 def softmax(a, axis=-1):
-    y = numerics.softmax(_val(a), axis=axis)
+    y = numerics.softmax(value(a), axis=axis)
 
     def vjp(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
@@ -164,7 +166,7 @@ def softmax(a, axis=-1):
 
 def log_softmax(a, axis=-1):
     """Checked: a non-finite input raises NumericError."""
-    y = numerics.log_softmax(_val(a), axis=axis)
+    y = numerics.log_softmax(value(a), axis=axis)
 
     def vjp(g):
         return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
@@ -177,7 +179,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 def gelu(a):
     """tanh-approximation GELU; the vjp differentiates the approximation."""
-    x = _val(a)
+    x = value(a)
     # Powers as multiplies: numpy's float ** is far slower than a product.
     x2 = x * x
     inner = _GELU_C * (x + 0.044715 * (x2 * x))
@@ -192,9 +194,29 @@ def gelu(a):
     return _node(y, [(a, vjp)])
 
 
+def layer_norm(x, gain, bias):
+    """Normalise the last axis to zero mean, unit variance (eps 1e-6); then gain, bias."""
+    xv, gv, bv = value(x), value(gain), value(bias)
+    inv_n = 1.0 / xv.shape[-1]
+    xc = xv - xv.sum(axis=-1, keepdims=True) * inv_n
+    inv = ((xc * xc).sum(axis=-1, keepdims=True) * inv_n + 1e-6) ** -0.5
+    xhat = xc * inv
+
+    def vjp_x(g):
+        gh = g * gv
+        return inv * (gh - gh.sum(axis=-1, keepdims=True) * inv_n
+                      - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) * inv_n))
+
+    return _node(xhat * gv + bv, [
+        (x, vjp_x),
+        (gain, lambda g: _unbroadcast(g * xhat, gv.shape)),
+        (bias, lambda g: _unbroadcast(g, bv.shape)),
+    ])
+
+
 def take_rows(w, ids):
     """Index the leading axis of w with an integer array (any shape)."""
-    wv = _val(w)
+    wv = value(w)
     ids = np.asarray(ids)
 
     def vjp(g):
@@ -211,7 +233,7 @@ def gather_cols(a, idx):
     idx must have no duplicate columns within a row (true for top-k
     selections), which makes the scatter in the vjp collision-free.
     """
-    av = _val(a)
+    av = value(a)
     idx = np.asarray(idx)
 
     def vjp(g):
@@ -224,7 +246,7 @@ def gather_cols(a, idx):
 
 def gather_pairs(a, rows, cols):
     """out[i] = a[rows[i], cols[i]] for 1-D index arrays."""
-    av = _val(a)
+    av = value(a)
     rows = np.asarray(rows)
     cols = np.asarray(cols)
 
@@ -238,7 +260,7 @@ def gather_pairs(a, rows, cols):
 
 def gather_last(a, idx):
     """Gather one element per position along the last axis: out[..] = a[.., idx[..]]."""
-    av = _val(a)
+    av = value(a)
     idx = np.asarray(idx)
 
     def vjp(g):
@@ -252,8 +274,8 @@ def gather_last(a, idx):
 
 def scatter_add_rows(base, idx, rows):
     """base with rows added at positions idx along axis 0 (duplicates accumulate)."""
-    bv = _val(base)
-    rv = _val(rows)
+    bv = value(base)
+    rv = value(rows)
     idx = np.asarray(idx)
     out = bv.copy()
     np.add.at(out, idx, rv)

@@ -82,11 +82,13 @@ def cmd_train_lm(args) -> int:
     manifest = _require_file(args.manifest, "corpus manifest")
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     file_cfg = _kv_config(_require_file(args.config, "config file")) if args.config else {}
+    asked: set[str] = set()
 
     def r(key, cast, default):
+        asked.add(key)
         return _resolve(args, key, cast, default, file_cfg)
 
-    config = MoeLmConfig(
+    model_kw = dict(
         num_layers=r("layers", int, 2),
         model_dim=r("dim", int, 64),
         num_heads=r("heads", int, 2),
@@ -94,12 +96,11 @@ def cmd_train_lm(args) -> int:
         ffn_multiplier=r("ffn_mult", int, 4),
         num_experts=r("experts", int, 4),
         experts_per_token=r("experts_per_token", int, 2),
-        vocab_size=vocab.size,
         max_seq_len=r("max_seq_len", int, 128),
         aux_loss_weight=r("aux_loss_weight", float, 0.01),
         tied_embeddings=not r("untied", bool, False),
     )
-    hyper = AdafactorHyper(
+    hyper_kw = dict(
         learning_rate=r("lr", float, 0.05),
         warmup_steps=r("warmup", int, 100),
         lr_schedule=r("lr_schedule", str, "inverse_sqrt"),
@@ -107,7 +108,11 @@ def cmd_train_lm(args) -> int:
     steps = r("steps", int, 200)
     batch_size = r("batch_size", int, 8)
     packing_factor = r("packing_factor", int, 4)
-    seed = args.seed
+    unknown = sorted(set(file_cfg) - asked)
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+    config = MoeLmConfig(vocab_size=vocab.size, **model_kw)
+    hyper = AdafactorHyper(**hyper_kw)
 
     sentences = [
         encode(text, vocab, language_tag=loc)
@@ -116,7 +121,7 @@ def cmd_train_lm(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt, log = train(
-        sentences, config, hyper, steps=steps, seed=seed,
+        sentences, config, hyper, steps=steps, seed=args.seed,
         batch_size=batch_size, packing_factor=packing_factor,
         checkpoint_dir=out_dir,
     )
@@ -133,14 +138,12 @@ def cmd_decode(args) -> int:
         raise UsageError("--lambda must be >= 0")
     if args.beam < 1:
         raise UsageError("--beam must be >= 1")
-    if not 1 <= args.n_best <= args.beam:
-        raise UsageError("--n-best must be in [1, beam]")
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
     lm = load_checkpoint(_require_file(args.lm, "LM checkpoint")) if args.lm else None
     config = FusionConfig(
-        lam=args.lam, beam_size=args.beam, n_best=args.n_best,
-        max_len=args.max_len, length_normalize=args.length_normalize,
+        lam=args.lam, beam_size=args.beam, max_len=args.max_len,
+        length_normalize=args.length_normalize,
     )
     rows = decode_utterances(lattice_dir, lm, config, vocab)
     write_decodes(rows, args.output)
@@ -307,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", help="LM checkpoint directory (omit for no LM)")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--n-best", type=int, default=1)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--length-normalize", action="store_true")
     p.add_argument("--output", required=True)

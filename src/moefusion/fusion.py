@@ -103,12 +103,11 @@ class LatticeSource:
                 f"lattice must be (T >= 1, V >= 4), got {frames.shape}"
             )
         frames = _floor(frames)
-        for t in range(frames.shape[0]):
-            z = logsumexp(frames[t])
-            if abs(z) > _ROW_NORM_TOL:
-                raise ValueError(
-                    f"lattice row {t} is not normalized: logsumexp = {z:.3g}"
-                )
+        z = logsumexp(frames, axis=1)
+        bad = np.flatnonzero(np.abs(z) > _ROW_NORM_TOL)
+        if bad.size:
+            raise ValueError(f"lattice row {bad[0]} is not normalized: "
+                             f"logsumexp = {z[bad[0]]:.3g}")
         self.frames = frames
         self.vocab_size = int(frames.shape[1])
         self.max_steps = int(frames.shape[0])

@@ -7,11 +7,13 @@ mask; embeddings are tied to the output projection by default.
 
 Two execution paths share the same parameters:
   * build_forward: batched differentiable graph (training and full scoring),
-  * lm_score_step: incremental numpy path with per-layer KV caches (decoding).
-The two agree to within 1e-5 per log-probability; tests enforce this.
-lm_score_step keeps a numpy layer norm and FFN: an autodiff op per primitive
-would dominate a one-token step. build_forward and moe_layer_forward run the
-one mixture routine, _mixture, whose dense variant is the sparse reference.
+  * lm_score_step: incremental path with per-layer KV caches (decoding).
+The two agree to within 1e-5 per log-probability; tests enforce this. Both
+run the same layer library: ad.layer_norm, _ffn (over ad.gelu) and
+_output_head. On plain arrays an autodiff op records no graph and returns an
+ndarray, so the decode step runs them at numpy speed. build_forward and
+moe_layer_forward run the one mixture routine, _mixture, whose dense variant
+is the sparse reference.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .numerics import check_finite, log_softmax, softmax
+from .numerics import check_finite, softmax
 from .tokenizer import BOS_ID
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
 ]
 
 ATTN_MASK_VALUE = -1e9
-LAYERNORM_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,8 @@ class LmState:
 
 @dataclass
 class ForwardResult:
-    log_probs: "ad.Var"
-    aux_loss: "ad.Var | None"
+    log_probs: "ad.Var | np.ndarray"
+    aux_loss: "ad.Var | np.ndarray | None"
     expert_counts: list[np.ndarray] = field(default_factory=list)
 
 
@@ -237,13 +238,6 @@ def gate_topk(token_repr: np.ndarray, gate_weight: np.ndarray, k: int) -> GateOu
     )
 
 
-def _ffn_np(x: np.ndarray, p: FfnParams) -> np.ndarray:
-    h = x @ p.w1 + p.b1
-    c = np.sqrt(2.0 / np.pi)
-    h = 0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * (h * h * h))))
-    return h @ p.w2 + p.b2
-
-
 def _ffn_params(p: Mapping, prefix: str) -> FfnParams:
     return FfnParams(w1=p[prefix + "w1"], b1=p[prefix + "b1"],
                      w2=p[prefix + "w2"], b2=p[prefix + "b2"])
@@ -263,9 +257,7 @@ def moe_layer_forward(
     and mixes with the full gate softmax; it requires k == len(experts) and
     exists as the reduction target the sparse path is tested against.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out, _, _ = _mixture(x, gate_weight, experts, k, impl)
-    return out.value if isinstance(out, ad.Var) else out
+    return _mixture(ad.value(x), gate_weight, experts, k, impl)[0]
 
 
 def _segment_positions(segment_ids: np.ndarray) -> np.ndarray:
@@ -291,14 +283,6 @@ def _attention_bias(segment_ids: np.ndarray) -> np.ndarray:
     return bias[:, None, :, :]
 
 
-def _layer_norm(x, gain, bias):
-    mu = ad.mean(x, axis=-1, keepdims=True)
-    xc = ad.sub(x, mu)
-    var = ad.mean(ad.mul(xc, xc), axis=-1, keepdims=True)
-    inv = ad.pow_const(ad.add(var, np.float64(LAYERNORM_EPS)), -0.5)
-    return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
-
-
 def _attention_block(x, p, prefix, bias, config):
     b, t, d = x.shape
     h, dh = config.num_heads, config.head_dim
@@ -316,8 +300,18 @@ def _attention_block(x, p, prefix, bias, config):
 
 
 def _ffn(x, p: FfnParams):
-    h = ad.gelu(ad.add(ad.matmul(x, p.w1), p.b1))
-    return ad.add(ad.matmul(h, p.w2), p.b2)
+    """Two-layer GELU FFN over the last axis; x and p may be Vars or arrays."""
+    return ad.gelu(x @ p.w1 + p.b1) @ p.w2 + p.b2
+
+
+def _output_head(x, params, config: MoeLmConfig):
+    """Final layer norm, output projection (tied or not) and log-softmax."""
+    x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
+    if config.tied_embeddings:
+        logits = x @ ad.swapaxes(params["embed.weight"], 0, 1)
+    else:
+        logits = x @ params["lm_head.weight"]
+    return ad.log_softmax(logits, axis=-1)
 
 
 def _mixture(flat, gate_weight, experts: Sequence[FfnParams], k: int, impl: str):
@@ -336,10 +330,10 @@ def _mixture(flat, gate_weight, experts: Sequence[FfnParams], k: int, impl: str)
         raise ValueError(f"unknown impl {impl!r}")
     if impl == "dense" and k != e:
         raise ConfigError("dense mixture requires experts_per_token == num_experts")
-    gate_logits = ad.matmul(flat, gate_weight)
-    check_finite(gate_logits.value, "gate logits")
+    gate_logits = flat @ gate_weight
+    check_finite(ad.value(gate_logits), "gate logits")
     probs = ad.softmax(gate_logits, axis=-1)
-    sel = _topk_indices(gate_logits.value, k)
+    sel = _topk_indices(ad.value(gate_logits), k)
 
     if impl == "dense":
         out = None
@@ -415,15 +409,15 @@ def build_forward(
     live_flat = (segment_ids > 0).ravel()
     pe = positional_table(config.max_seq_len, config.model_dim)
 
-    x = ad.add(ad.take_rows(params["embed.weight"], token_ids), pe[pos])
+    x = ad.take_rows(params["embed.weight"], token_ids) + pe[pos]
 
     aux_terms = []
     counts_per_layer: list[np.ndarray] = []
     for i in range(config.num_layers):
         prefix = f"layer{i:02d}."
-        h1 = _layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
-        x = ad.add(x, _attention_block(h1, params, prefix, bias, config))
-        h2 = _layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
+        h1 = ad.layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
+        x = x + _attention_block(h1, params, prefix, bias, config)
+        h2 = ad.layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
         if config.is_moe_layer(i):
             out, aux, counts = _moe_block(h2, params, prefix, config,
                                           moe_impl, live_flat)
@@ -431,21 +425,13 @@ def build_forward(
             counts_per_layer.append(counts)
         else:
             out = _ffn(h2, _ffn_params(params, prefix + "ffn."))
-        x = ad.add(x, out)
+        x = x + out
 
-    x = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    if config.tied_embeddings:
-        logits = ad.matmul(x, ad.swapaxes(params["embed.weight"], 0, 1))
-    else:
-        logits = ad.matmul(x, params["lm_head.weight"])
-    log_probs = ad.log_softmax(logits, axis=-1)
+    log_probs = _output_head(x, params, config)
 
     aux_loss = None
     if want_aux and aux_terms:
-        total = aux_terms[0]
-        for a in aux_terms[1:]:
-            total = ad.add(total, a)
-        aux_loss = ad.scale(total, 1.0 / len(aux_terms))
+        aux_loss = ad.scale(sum(aux_terms[1:], aux_terms[0]), 1.0 / len(aux_terms))
     return ForwardResult(log_probs=log_probs, aux_loss=aux_loss,
                          expert_counts=counts_per_layer)
 
@@ -461,8 +447,7 @@ def lm_forward(
         raise ValueError("cannot score an empty sequence")
     if ids[0] != BOS_ID:
         raise ValueError(f"sequence must start with BOS (id {BOS_ID}), got {ids[0]}")
-    result = build_forward(params, ids[None, :], config)
-    return result.log_probs.value[0]
+    return build_forward(params, ids[None, :], config).log_probs[0]
 
 
 def initial_state(config: MoeLmConfig) -> LmState:
@@ -473,13 +458,6 @@ def initial_state(config: MoeLmConfig) -> LmState:
         values=[e.copy() for e in empty],
         position=0,
     )
-
-
-def _layer_norm_np(x, gain, bias):
-    mu = x.mean()
-    xc = x - mu
-    var = (xc * xc).mean()
-    return xc / np.sqrt(var + LAYERNORM_EPS) * gain + bias
 
 
 def lm_score_step(
@@ -507,7 +485,7 @@ def lm_score_step(
     new_values: list[np.ndarray] = []
     for i in range(config.num_layers):
         prefix = f"layer{i:02d}."
-        hin = _layer_norm_np(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
+        hin = ad.layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
         q = (hin @ params[prefix + "attn.wq"]).reshape(h, dh)
         k = (hin @ params[prefix + "attn.wk"]).reshape(h, dh)
         v = (hin @ params[prefix + "attn.wv"]).reshape(h, dh)
@@ -520,23 +498,16 @@ def lm_score_step(
         ctx = np.einsum("hp,hpd->hd", attn, values).reshape(d)
         x = x + ctx @ params[prefix + "attn.wo"]
 
-        h2 = _layer_norm_np(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
+        h2 = ad.layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
         if config.is_moe_layer(i):
             gate = gate_topk(h2, params[prefix + "gate.weight"],
                              config.experts_per_token)
-            out = np.zeros(d)
-            for w, idx in zip(gate.combine_weights, gate.expert_indices):
-                ep = _ffn_params(params, f"{prefix}expert{idx:02d}.")
-                out += w * _ffn_np(h2[None, :], ep)[0]
+            out = sum(w * _ffn(h2, _ffn_params(params, f"{prefix}expert{idx:02d}."))
+                      for w, idx in zip(gate.combine_weights, gate.expert_indices))
         else:
-            out = _ffn_np(h2[None, :], _ffn_params(params, prefix + "ffn."))[0]
+            out = _ffn(h2, _ffn_params(params, prefix + "ffn."))
         x = x + out
 
-    x = _layer_norm_np(x, params["final_ln.gain"], params["final_ln.bias"])
-    if config.tied_embeddings:
-        logits = x @ params["embed.weight"].T
-    else:
-        logits = x @ params["lm_head.weight"]
-    log_probs = log_softmax(logits)
+    log_probs = _output_head(x, params, config)
     new_state = LmState(keys=new_keys, values=new_values, position=state.position + 1)
     return new_state, log_probs

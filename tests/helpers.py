@@ -4,10 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from moefusion import autodiff as ad
 from moefusion.checkpoint import Checkpoint
 from moefusion.fusion import CheckpointLmScorer
 from moefusion.model import LmState
 from moefusion.numerics import log_softmax
+
+
+def record_var_inits(monkeypatch) -> list:
+    """A list that gains one entry per Var constructed from now on."""
+    made: list = []
+    init = ad.Var.__init__
+    monkeypatch.setattr(ad.Var, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    return made
 
 
 class TableLm:

@@ -128,6 +128,20 @@ class TestTrainCommand:
                    "--config", str(cfg)])
         assert rc == 1
 
+    @pytest.mark.parametrize("line", ["experts_pr_token = 4", "moe_impl = dense"])
+    def test_unknown_config_key_rejected(self, tmp_path, synth_pipeline,
+                                         capsys, line):
+        paths = synth_pipeline["paths"]
+        cfg = tmp_path / "lm.cfg"
+        cfg.write_text(f"dim = 16\nhead_dim = 8\nsteps = 2\n{line}\n")
+        out = tmp_path / "run"
+        rc = main(["train-lm", "--manifest", str(paths.lm_manifest),
+                   "--vocab", str(paths.vocab), "--output-dir", str(out),
+                   "--config", str(cfg)])
+        assert rc == 1
+        assert line.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecodeCommand:
     def test_lambda_flag_required(self, synth_pipeline, tmp_path, capsys):
@@ -135,6 +149,14 @@ class TestDecodeCommand:
         rc = main(["decode", "--lattice-dir", str(paths.lattice_dir),
                    "--vocab", str(paths.vocab),
                    "--output", str(tmp_path / "d.tsv")])
+        assert rc == 1
+
+    def test_n_best_flag_removed(self, synth_pipeline, tmp_path, capsys):
+        # decode writes the single best hypothesis; there is no n-best output.
+        paths = synth_pipeline["paths"]
+        rc = main(["decode", "--lattice-dir", str(paths.lattice_dir),
+                   "--vocab", str(paths.vocab), "--lambda", "0.3",
+                   "--n-best", "2", "--output", str(tmp_path / "d.tsv")])
         assert rc == 1
 
     def test_negative_lambda_rejected(self, synth_pipeline, tmp_path,

@@ -1,11 +1,15 @@
 """Gating, MoE layer semantics, scoring paths, and their agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from helpers import record_var_inits
+from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
-    FfnParams, MoeLmConfig, _ffn_np, _segment_positions, build_forward,
+    FfnParams, MoeLmConfig, _ffn, _segment_positions, build_forward,
     gate_topk, init_params, initial_state, lm_forward, lm_score_step,
     moe_layer_forward, param_shapes, positional_table,
 )
@@ -136,7 +140,7 @@ class TestMoeLayer:
 
     @pytest.mark.parametrize("e", [2, 4, 16])
     def test_decode_step_mixture_matches_layer(self, e):
-        # lm_score_step mixes one token as gate_topk + _ffn_np per selected
+        # lm_score_step mixes one token as gate_topk + _ffn per selected
         # expert; moe_layer_forward runs the training mixture.
         d, f, k = 8, 32, 2
         rng = np.random.default_rng(40 + e)
@@ -144,7 +148,7 @@ class TestMoeLayer:
         gate = rng.standard_normal((d, e))
         for row in rng.standard_normal((20, d)):
             g = gate_topk(row, gate, k)
-            step = sum(w * _ffn_np(row[None, :], experts[i])[0]
+            step = sum(w * _ffn(row, experts[i])
                        for w, i in zip(g.combine_weights, g.expert_indices))
             layer = moe_layer_forward(row[None, :], gate, experts, k)[0]
             assert np.abs(step - layer).max() < 1e-12
@@ -195,8 +199,7 @@ class TestForward:
         alt[0, 5:7] = [25, 26]  # rewrite segment 2 only
         out1 = build_forward(params, base, tiny_config, segment_ids=segs)
         out2 = build_forward(params, alt, tiny_config, segment_ids=segs)
-        assert np.array_equal(out1.log_probs.value[0, :4],
-                              out2.log_probs.value[0, :4])
+        assert np.array_equal(out1.log_probs[0, :4], out2.log_probs[0, :4])
 
     def test_positions_reset_per_segment(self, tiny_config):
         params = init_params(tiny_config, 0)
@@ -204,8 +207,7 @@ class TestForward:
         segs = np.array([[1, 1, 1, 1, 2, 2, 2, 2]])
         out = build_forward(params, packed, tiny_config, segment_ids=segs)
         # identical isolated segments must produce identical rows
-        assert np.allclose(out.log_probs.value[0, :4],
-                           out.log_probs.value[0, 4:], atol=1e-12)
+        assert np.allclose(out.log_probs[0, :4], out.log_probs[0, 4:], atol=1e-12)
 
 
 def loop_segment_positions(segment_ids):
@@ -248,13 +250,22 @@ class TestSegmentPositions:
 
 
 class TestScoreStep:
-    def test_matches_full_forward(self, tiny_config):
-        params = init_params(tiny_config, 0)
-        ids = [BOS_ID, 5, 9, 13, 7, 21, 4, 30]
-        rows = lm_forward(params, ids, tiny_config)
-        state = initial_state(tiny_config)
+    @pytest.mark.parametrize("case", ["tiny-tied", "tiny-untied", "bench-decode"])
+    def test_matches_full_forward(self, tiny_config, case):
+        if case == "bench-decode":
+            # The decode benchmark's LM shape, scored over its full context.
+            config = MoeLmConfig(num_layers=2, model_dim=32, num_heads=2,
+                                 head_dim=16, num_experts=4, experts_per_token=2,
+                                 vocab_size=512, max_seq_len=64)
+            ids = [BOS_ID] + list(np.random.default_rng(10).integers(4, 512, size=63))
+        else:
+            config = replace(tiny_config, tied_embeddings=case == "tiny-tied")
+            ids = [BOS_ID, 5, 9, 13, 7, 21, 4, 30]
+        params = init_params(config, 0)
+        rows = lm_forward(params, ids, config)
+        state = initial_state(config)
         for t, tok in enumerate(ids):
-            state, dist = lm_score_step(params, tiny_config, state, tok)
+            state, dist = lm_score_step(params, config, state, tok)
             assert np.abs(dist - rows[t]).max() < 1e-5
 
     def test_many_random_prefixes_agree(self, tiny_config):
@@ -287,6 +298,20 @@ class TestScoreStep:
             state, _ = lm_score_step(params, tiny_config, state, 4)
         with pytest.raises(ValueError, match="max_seq_len"):
             lm_score_step(params, tiny_config, state, 4)
+
+
+class TestPlainArrays:
+    def test_build_forward_creates_no_var(self, tiny_config, monkeypatch):
+        made = record_var_inits(monkeypatch)
+        params = init_params(tiny_config, 0)
+        ids = np.array([[BOS_ID, 5, 9, 13], [BOS_ID, 7, 21, 4]])
+        out = build_forward(params, ids, tiny_config, want_aux=True)
+        assert type(out.log_probs) is np.ndarray
+        assert out.log_probs.shape == (2, 4, tiny_config.vocab_size)
+        assert not isinstance(out.aux_loss, ad.Var) and np.shape(out.aux_loss) == ()
+        _, dist = lm_score_step(params, tiny_config, initial_state(tiny_config), BOS_ID)
+        assert type(dist) is np.ndarray
+        assert made == []
 
 
 class TestPositionalTable:
