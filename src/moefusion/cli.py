@@ -29,14 +29,18 @@ __all__ = ["main", "build_parser"]
 
 def _kv_config(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (x.strip() for x in line.split("=", 1))
+        if k in seen:
+            raise UsageError(f"{path}: key {k!r} is set on lines {seen[k]} and {ln}")
+        seen[k] = ln
+        out[k] = v
     return out
 
 
@@ -133,11 +137,17 @@ def cmd_train_lm(args) -> int:
     return 0
 
 
+def _check_search_flags(args) -> None:
+    if args.beam < 1:
+        raise UsageError("--beam must be >= 1")
+    if args.max_len is not None and args.max_len < 0:
+        raise UsageError("--max-len must be >= 0")
+
+
 def cmd_decode(args) -> int:
     if args.lam < 0:
         raise UsageError("--lambda must be >= 0")
-    if args.beam < 1:
-        raise UsageError("--beam must be >= 1")
+    _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
     lm = load_checkpoint(_require_file(args.lm, "LM checkpoint")) if args.lm else None
@@ -229,20 +239,25 @@ def cmd_sweep_lambda(args) -> int:
         values = [float(x) for x in args.values.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"--values must be comma-separated floats: {exc}") from exc
-    if not values or any(v < 0 for v in values):
-        raise UsageError("--values needs at least one lambda, all >= 0")
+    if not values or not all(0 <= v < float("inf") for v in values):
+        raise UsageError("--values needs at least one lambda, all finite and >= 0")
+    names = [f"{lam:g}" for lam in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"--values lists lambda {name} twice")
+    _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
     refs_path = _require_file(args.refs, "reference file")
     lm = load_checkpoint(_require_file(args.lm, "LM checkpoint"))
+    configs = [FusionConfig(lam=lam, beam_size=args.beam, max_len=args.max_len)
+               for lam in values]
+    decodes = decode_utterances(lattice_dir, lm, configs, vocab)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     lines = ["lambda,macro_wer,micro_wer"]
     best = None
-    for lam in values:
-        config = FusionConfig(lam=lam, beam_size=args.beam)
-        rows = decode_utterances(lattice_dir, lm, config, vocab)
+    for lam, rows in zip(values, decodes):
         hyp_path = out_dir / f"decodes_lambda{lam:g}.tsv"
         write_decodes(rows, hyp_path)
         per_locale = _evaluate(refs_path, hyp_path)
@@ -344,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help="comma-separated lambdas, e.g. 0,0.1,0.2,0.3")
     p.add_argument("--beam", type=int, default=8)
+    p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_sweep_lambda)
 

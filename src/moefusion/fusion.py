@@ -6,6 +6,10 @@ precomputed, prefix-independent per-step log-distributions. max_len
 counts content tokens; a hypothesis reaching it may only extend with EOS,
 which makes the beam's search space identical to the exhaustive oracle's.
 
+One beam search can run several configs (a lambda sweep) in lockstep: each
+config's beam selects exactly as it would alone, and the LM advances once
+per distinct child prefix per step across configs.
+
 Ties anywhere resolve toward the lexicographically smaller token sequence,
 so results are deterministic for identical inputs.
 """
@@ -164,6 +168,12 @@ def _check_vocab(source, lm_scorer):
         )
 
 
+def _content_limit(source, config: FusionConfig) -> int:
+    """Most content tokens a decode of source under config may carry."""
+    steps = source.max_steps - 1
+    return steps if config.max_len is None else min(steps, config.max_len)
+
+
 def _final_rank_key(h: Hypothesis, length_normalize: bool):
     score = h.combined / len(h.tokens) if length_normalize else h.combined
     return (-score, h.tokens)
@@ -172,20 +182,23 @@ def _final_rank_key(h: Hypothesis, length_normalize: bool):
 def beam_search_fusion(
     source: PosteriorSource,
     lm,
-    config: FusionConfig,
-) -> list[Hypothesis]:
+    configs: FusionConfig | Sequence[FusionConfig],
+):
     """Beam search under the fused score; returns up to n_best finished hyps.
 
     lm may be None (pure e2e), a Checkpoint, or any scorer with
-    start()/advance(). Every surviving hypothesis advances the LM once per
-    step, so LM cost is O(beam * length) regardless of vocab size.
+    start()/advance(). configs is one FusionConfig (returns its n-best list)
+    or a sequence (returns one list per config). The configs' beams advance
+    in lockstep, each selecting exactly as it would alone; the LM starts
+    once and, at each step, advances once per distinct child prefix across
+    configs, so LM cost is O(beam * length) per config at most, regardless
+    of vocab size. No LM state outlives its step unless a hypothesis keeps it.
     """
+    single = isinstance(configs, FusionConfig)
+    configs = [configs] if single else list(configs)
     lm_scorer = _wrap_lm(lm)
     _check_vocab(source, lm_scorer)
-    v = source.vocab_size
-    eff_max = source.max_steps - 1
-    if config.max_len is not None:
-        eff_max = min(eff_max, config.max_len)
+    limits = [_content_limit(source, c) for c in configs]
 
     if lm_scorer is not None:
         state0, dist0 = lm_scorer.start()
@@ -195,64 +208,79 @@ def beam_search_fusion(
         tokens=(), e2e_logprob=0.0, lm_logprob=0.0, combined=0.0,
         finished=False, lm_state=state0, lm_dist=dist0,
     )
-    survivors = [root]
-    pool: list[Hypothesis] = []
+    beams = [[root] for _ in configs]
+    pools: list[list[Hypothesis]] = [[] for _ in configs]
 
-    for t in range(eff_max + 1):
-        if not survivors:
-            break
-        n = len(survivors)
-        e2e_rows = np.stack([e2e_step(source, h.tokens, t) for h in survivors])
+    for t in range(max(limits, default=-1) + 1):
+        advanced: dict[tuple[int, ...], tuple] = {}  # child prefix -> LM output
+        for i, config in enumerate(configs):
+            if beams[i]:
+                beams[i] = _beam_step(source, lm_scorer, config, beams[i], t,
+                                      t == limits[i], pools[i], advanced)
+
+    results = [
+        sorted(pool, key=lambda h: _final_rank_key(h, c.length_normalize))[: c.n_best]
+        for pool, c in zip(pools, configs)
+    ]
+    return results[0] if single else results
+
+
+def _beam_step(source, lm_scorer, config, survivors, t, last, pool, advanced):
+    """One step of one config's beam: finished children go to pool, the rest
+    are returned lex-sorted. An LM advance is looked up in, or added to,
+    the step's shared `advanced` dict under the child's token prefix."""
+    v = source.vocab_size
+    n = len(survivors)
+    e2e_rows = np.stack([e2e_step(source, h.tokens, t) for h in survivors])
+    if lm_scorer is not None:
+        lm_rows = np.stack([_floor(h.lm_dist) for h in survivors])
+    else:
+        lm_rows = np.zeros((n, v))
+    base = np.array([h.combined for h in survivors])
+    totals = base[:, None] + e2e_rows + config.lam * lm_rows
+    if last:
+        # Content budget exhausted: EOS is the only legal extension.
+        keep = np.full_like(totals, -np.inf)
+        keep[:, EOS_ID] = totals[:, EOS_ID]
+        totals = keep
+
+    flat = totals.ravel()
+    finite = np.nonzero(np.isfinite(flat))[0]
+    parents = finite // v
+    toks = finite % v
+    # Primary: fused score descending; ties: lexicographically smaller
+    # sequence. Survivors are kept lex-sorted, so (parent rank, token)
+    # orders equal-length candidate sequences lexicographically.
+    order = np.lexsort((toks, parents, -flat[finite]))
+    selected = finite[order[: config.beam_size]]
+
+    next_survivors: list[Hypothesis] = []
+    for idx in selected.tolist():
+        p, tok = idx // v, idx % v
+        parent = survivors[p]
+        e2e_lp = parent.e2e_logprob + float(e2e_rows[p, tok])
+        lm_lp = parent.lm_logprob + float(lm_rows[p, tok])
+        combined = fuse(e2e_lp, lm_lp, config.lam)
+        tokens = parent.tokens + (tok,)
+        if tok == EOS_ID:
+            pool.append(Hypothesis(
+                tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
+                combined=combined, finished=True,
+            ))
+            continue
+        lm_state = lm_dist = None
         if lm_scorer is not None:
-            lm_rows = np.stack([_floor(h.lm_dist) for h in survivors])
-        else:
-            lm_rows = np.zeros((n, v))
-        base = np.array([h.combined for h in survivors])
-        totals = base[:, None] + e2e_rows + config.lam * lm_rows
-        if t == eff_max:
-            # Content budget exhausted: EOS is the only legal extension.
-            keep = np.full_like(totals, -np.inf)
-            keep[:, EOS_ID] = totals[:, EOS_ID]
-            totals = keep
-
-        flat = totals.ravel()
-        finite = np.nonzero(np.isfinite(flat))[0]
-        parents = finite // v
-        toks = finite % v
-        # Primary: fused score descending; ties: lexicographically smaller
-        # sequence. Survivors are kept lex-sorted, so (parent rank, token)
-        # orders equal-length candidate sequences lexicographically.
-        order = np.lexsort((toks, parents, -flat[finite]))
-        selected = finite[order[: config.beam_size]]
-
-        next_survivors: list[Hypothesis] = []
-        for idx in selected.tolist():
-            p, tok = idx // v, idx % v
-            parent = survivors[p]
-            e2e_lp = parent.e2e_logprob + float(e2e_rows[p, tok])
-            lm_lp = parent.lm_logprob + float(lm_rows[p, tok])
-            combined = fuse(e2e_lp, lm_lp, config.lam)
-            tokens = parent.tokens + (tok,)
-            if tok == EOS_ID:
-                pool.append(Hypothesis(
-                    tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
-                    combined=combined, finished=True,
-                ))
-            else:
-                if lm_scorer is not None:
-                    lm_state, lm_dist = lm_scorer.advance(parent.lm_state, tok)
-                else:
-                    lm_state, lm_dist = None, None
-                next_survivors.append(Hypothesis(
-                    tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
-                    combined=combined, finished=False,
-                    lm_state=lm_state, lm_dist=lm_dist,
-                ))
-        next_survivors.sort(key=lambda h: h.tokens)
-        survivors = next_survivors
-
-    pool.sort(key=lambda h: _final_rank_key(h, config.length_normalize))
-    return pool[: config.n_best]
+            hit = advanced.get(tokens)
+            if hit is None:
+                hit = advanced[tokens] = lm_scorer.advance(parent.lm_state, tok)
+            lm_state, lm_dist = hit
+        next_survivors.append(Hypothesis(
+            tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
+            combined=combined, finished=False,
+            lm_state=lm_state, lm_dist=lm_dist,
+        ))
+    next_survivors.sort(key=lambda h: h.tokens)
+    return next_survivors
 
 
 def exhaustive_oracle(
@@ -338,17 +366,21 @@ def save_lattice(frames: np.ndarray, path: str | Path, binary: bool = False) -> 
 
 
 def load_lattice(path: str | Path) -> np.ndarray:
-    """Read either lattice format back into a float64 (T, V) array."""
-    path = Path(path)
-    raw = path.read_bytes()
+    """Read either lattice format back into a float64 (T, V) array.
+
+    A malformed file raises ValueError; decode_utterances names the file.
+    """
+    raw = Path(path).read_bytes()
     if raw.startswith(_BIN_MAGIC):
         off = len(_BIN_MAGIC)
+        if len(raw) < off + 8:
+            raise ValueError("binary lattice header is truncated")
         t, v = struct.unpack_from("<II", raw, off)
         off += 8
         need = t * v * 4
         if len(raw) - off != need:
             raise ValueError(
-                f"{path}: binary lattice payload is {len(raw) - off} bytes, "
+                f"binary lattice payload is {len(raw) - off} bytes, "
                 f"header implies {need}"
             )
         arr = np.frombuffer(raw, dtype="<f4", count=t * v, offset=off)
@@ -356,20 +388,20 @@ def load_lattice(path: str | Path) -> np.ndarray:
     text = raw.decode("utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty lattice file")
+        raise ValueError("empty lattice file")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "lat1":
-        raise ValueError(f"{path}: bad lattice header {lines[0]!r}")
+        raise ValueError(f"bad lattice header {lines[0]!r}")
     t, v = int(head[1]), int(head[2])
     if len(lines) - 1 != t:
-        raise ValueError(f"{path}: header declares {t} rows, file has {len(lines) - 1}")
+        raise ValueError(f"header declares {t} rows, file has {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
         vals = np.array([float(x) for x in ln.split()], dtype=np.float64)
         if vals.size != v:
-            raise ValueError(f"{path}: row has {vals.size} values, expected {v}")
+            raise ValueError(f"row has {vals.size} values, expected {v}")
         rows.append(vals)
-    return np.stack(rows)
+    return np.stack(rows) if rows else np.zeros((0, v))
 
 
 @dataclass
@@ -381,10 +413,19 @@ class DecodeRow:
     combined: float
 
 
-def _checked_lattice(path: Path, vocab: Vocab, config: FusionConfig,
+def _checked_lattice(path: Path, vocab: Vocab, configs: Sequence[FusionConfig],
                      lm_config) -> LatticeSource:
-    """Load one lattice and check it against the vocab and the LM context."""
-    source = LatticeSource(load_lattice(path))
+    """Load one lattice and check it against the vocab and the LM context.
+
+    Every error names the file. The length check takes the longest decode
+    any of the configs allows.
+    """
+    try:
+        source = LatticeSource(load_lattice(path))
+    except NumericError as exc:
+        raise NumericError(f"{path.name}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
     if source.vocab_size != vocab.size:
         raise VocabMismatchError(
             f"{path.name}: lattice vocab {source.vocab_size} != "
@@ -392,9 +433,7 @@ def _checked_lattice(path: Path, vocab: Vocab, config: FusionConfig,
         )
     if lm_config is not None:
         # The LM sees BOS plus every content token of a decode.
-        steps = source.max_steps - 1
-        if config.max_len is not None:
-            steps = min(steps, config.max_len)
+        steps = max(_content_limit(source, c) for c in configs)
         room = lm_config.max_seq_len - 1
         if steps > room:
             raise ValueError(
@@ -408,34 +447,39 @@ def _checked_lattice(path: Path, vocab: Vocab, config: FusionConfig,
 def decode_utterances(
     lattice_dir: str | Path,
     lm,
-    config: FusionConfig,
+    configs: FusionConfig | Sequence[FusionConfig],
     vocab: Vocab,
-) -> list[DecodeRow]:
+):
     """Beam-decode every *.lat file in a directory, sorted by utterance id.
 
-    Every lattice is loaded and checked before the first one is decoded, so a
-    bad file fails the run before any search work is done. Each is loaded
-    again for its decode, so that only one is held in memory at a time.
+    configs is one FusionConfig (returns its rows) or a sequence (returns
+    one row list per config). Every lattice is loaded and checked against
+    every config before the first is decoded, so a bad file fails the run
+    before any search work. Each is loaded once more for one beam search
+    over all configs: two loads per lattice per run, one held at a time.
     """
+    single = isinstance(configs, FusionConfig)
+    configs = [configs] if single else list(configs)
     lattice_dir = Path(lattice_dir)
     paths = sorted(lattice_dir.glob("*.lat"))
     if not paths:
         raise FileNotFoundError(f"no *.lat files in {lattice_dir}")
     lm_config = getattr(_wrap_lm(lm), "config", None)
     for p in paths:
-        _checked_lattice(p, vocab, config, lm_config)
-    rows: list[DecodeRow] = []
+        _checked_lattice(p, vocab, configs, lm_config)
+    rows: list[list[DecodeRow]] = [[] for _ in configs]
     for p in paths:
-        source = _checked_lattice(p, vocab, config, lm_config)
-        best = beam_search_fusion(source, lm, config)[0]
-        rows.append(DecodeRow(
-            utt_id=p.stem,
-            text=decode_text(best.tokens, vocab),
-            e2e_logprob=best.e2e_logprob,
-            lm_logprob=best.lm_logprob,
-            combined=best.combined,
-        ))
-    return rows
+        source = _checked_lattice(p, vocab, configs, lm_config)
+        for out, hyps in zip(rows, beam_search_fusion(source, lm, configs)):
+            best = hyps[0]
+            out.append(DecodeRow(
+                utt_id=p.stem,
+                text=decode_text(best.tokens, vocab),
+                e2e_logprob=best.e2e_logprob,
+                lm_logprob=best.lm_logprob,
+                combined=best.combined,
+            ))
+    return rows[0] if single else rows
 
 
 def write_decodes(rows: Sequence[DecodeRow], path: str | Path) -> None:

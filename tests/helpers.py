@@ -81,6 +81,31 @@ class ModelSource:
         return self._ensure(prefix)[1]
 
 
+class CountingLm:
+    """Wraps a scorer and records each start() and the prefix of each advance().
+
+    The wrapped state carries its token prefix, so `advanced` lists the
+    prefix every LM step was run for, in call order.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab_size = inner.vocab_size
+        self.starts = 0
+        self.advanced: list[tuple[int, ...]] = []
+
+    def start(self):
+        self.starts += 1
+        state, dist = self.inner.start()
+        return ((), state), dist
+
+    def advance(self, state, token: int):
+        prefix = state[0] + (int(token),)
+        self.advanced.append(prefix)
+        inner_state, dist = self.inner.advance(state[1], token)
+        return (prefix, inner_state), dist
+
+
 class UniformLm:
     """LM that scores every token equally at every step."""
 

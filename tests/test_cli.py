@@ -19,6 +19,39 @@ def lm_dir(tmp_path_factory, synth_pipeline):
     return d
 
 
+def normalized(x):
+    return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+
+
+def write_bad_lattice(path, case, v):
+    """A `b_bad.lat`-style lattice with one of the faults a load must name."""
+    rows = normalized(np.random.default_rng(9).standard_normal((6, v)))
+    if case == "truncated":
+        save_lattice(rows, path, binary=True)
+        path.write_bytes(path.read_bytes()[:-4])
+    elif case == "nan_row":
+        rows[2, 5] = np.nan
+        save_lattice(rows, path, binary=True)
+    elif case == "wrong_vocab":
+        save_lattice(normalized(np.zeros((6, v + 1))), path, binary=True)
+    elif case == "zero_rows":
+        save_lattice(np.zeros((0, v)), path, binary=True)
+    elif case == "zero_rows_text":
+        save_lattice(np.zeros((0, v)), path)
+    elif case == "unnormalized":
+        rows[1] += 0.25
+        save_lattice(rows, path, binary=True)
+
+
+def spy_searches(monkeypatch) -> list:
+    """A list that gains one entry per beam search run from now on."""
+    searches = []
+    real_search = fusion_mod.beam_search_fusion
+    monkeypatch.setattr(fusion_mod, "beam_search_fusion",
+                        lambda *a: searches.append(1) or real_search(*a))
+    return searches
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -128,6 +161,19 @@ class TestTrainCommand:
                    "--config", str(cfg)])
         assert rc == 1
 
+    def test_repeated_config_key_rejected(self, tmp_path, synth_pipeline, capsys):
+        paths = synth_pipeline["paths"]
+        cfg = tmp_path / "lm.cfg"
+        cfg.write_text("layers = 2\ndim = 16\n# override\nlayers = 4\n")
+        out = tmp_path / "run"
+        rc = main(["train-lm", "--manifest", str(paths.lm_manifest),
+                   "--vocab", str(paths.vocab), "--output-dir", str(out),
+                   "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'layers'" in err and "lines 1 and 4" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["experts_pr_token = 4", "moe_impl = dense"])
     def test_unknown_config_key_rejected(self, tmp_path, synth_pipeline,
                                          capsys, line):
@@ -192,10 +238,7 @@ class TestDecodeCommand:
         for name, x in (("a_short", short), ("b_long", long_)):
             rows = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
             save_lattice(rows, lat_dir / f"{name}.lat", binary=True)
-        searches = []
-        real_search = fusion_mod.beam_search_fusion
-        monkeypatch.setattr(fusion_mod, "beam_search_fusion",
-                            lambda *a: searches.append(1) or real_search(*a))
+        searches = spy_searches(monkeypatch)
         base = ["decode", "--lattice-dir", str(lat_dir),
                 "--vocab", str(paths.vocab), "--lm", str(lm_dir),
                 "--lambda", "0.3", "--beam", "2"]
@@ -209,6 +252,13 @@ class TestDecodeCommand:
 
         assert main(base + ["--max-len", "63", "--output", str(out)]) == 0
         assert [r.utt_id for r in read_decodes(out)] == ["a_short", "b_long"]
+
+    def test_negative_max_len_rejected(self, synth_pipeline, tmp_path, capsys):
+        paths = synth_pipeline["paths"]
+        rc = main(["decode", "--lattice-dir", str(paths.lattice_dir),
+                   "--vocab", str(paths.vocab), "--lambda", "0.3",
+                   "--max-len", "-1", "--output", str(tmp_path / "d.tsv")])
+        assert rc == 1
 
     def test_corrupt_checkpoint_is_runtime_error(self, synth_pipeline,
                                                  tmp_path, capsys):
@@ -267,7 +317,42 @@ class TestEvaluateCommand:
         assert "missing" in capsys.readouterr().err
 
 
+BAD_LATTICES = ["truncated", "nan_row", "wrong_vocab", "zero_rows", "zero_rows_text",
+                "unnormalized"]
+
+
+@pytest.mark.parametrize("case", BAD_LATTICES)
+@pytest.mark.parametrize("command", ["decode", "sweep-lambda"])
+def test_bad_lattice_named_before_any_search(command, case, synth_pipeline, lm_dir,
+                                            tmp_path, capsys, monkeypatch):
+    paths = synth_pipeline["paths"]
+    v = synth_pipeline["vocab"].size
+    lat_dir = tmp_path / "lats"
+    lat_dir.mkdir()
+    save_lattice(normalized(np.zeros((4, v))), lat_dir / "a_good.lat")
+    write_bad_lattice(lat_dir / "b_bad.lat", case, v)
+    searches = spy_searches(monkeypatch)
+    out = tmp_path / "out"
+    argv = [command, "--lattice-dir", str(lat_dir), "--vocab", str(paths.vocab),
+            "--lm", str(lm_dir)]
+    if command == "decode":
+        argv += ["--lambda", "0.3", "--output", str(out)]
+    else:
+        argv += ["--refs", str(paths.refs), "--values", "0,0.3",
+                 "--output-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "b_bad.lat" in err and "Traceback" not in err
+    assert not out.exists()
+    assert searches == []
+
+
 class TestSweepCommand:
+    def sweep(self, lat_dir, vocab, lm, refs, out, *extra):
+        return main(["sweep-lambda", "--lattice-dir", str(lat_dir), "--vocab", str(vocab),
+                     "--lm", str(lm), "--refs", str(refs), "--output-dir", str(out),
+                     *extra])
+
     def test_bad_values_rejected(self, synth_pipeline, lm_dir, tmp_path,
                                  capsys):
         paths = synth_pipeline["paths"]
@@ -278,6 +363,73 @@ class TestSweepCommand:
         assert main(base + ["--values", "0.1,banana"]) == 1
         assert main(base + ["--values", "-0.2"]) == 1
         assert main(base + ["--values", ""]) == 1
+        assert main(base + ["--values", "nan"]) == 1
+
+    def test_repeated_lambda_rejected(self, synth_pipeline, lm_dir, tmp_path, capsys):
+        paths = synth_pipeline["paths"]
+        out = tmp_path / "sweep"
+        assert self.sweep(paths.lattice_dir, paths.vocab, lm_dir, paths.refs, out,
+                          "--values", "0.3,0.30,0") == 1
+        assert "0.3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_beam_is_usage_error(self, synth_pipeline, lm_dir, tmp_path, capsys):
+        paths = synth_pipeline["paths"]
+        out = tmp_path / "sweep"
+        assert self.sweep(paths.lattice_dir, paths.vocab, lm_dir, paths.refs, out,
+                          "--values", "0.3", "--beam", "0") == 1
+        assert "--beam" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decodes_match_decode_command(self, synth_pipeline, lm_dir, tmp_path, capsys):
+        paths = synth_pipeline["paths"]
+        lat_dir = tmp_path / "lats"
+        lat_dir.mkdir()
+        keep = sorted(paths.lattice_dir.glob("*.lat"))[::6]
+        for p in keep:
+            (lat_dir / p.name).write_bytes(p.read_bytes())
+        ids = {p.stem for p in keep}
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("".join(ln + "\n" for ln in paths.refs.read_text().splitlines()
+                                if ln.split("\t")[0] in ids))
+        out = tmp_path / "sweep"
+        assert self.sweep(lat_dir, paths.vocab, lm_dir, refs, out,
+                          "--values", "0,0.3,1.5", "--beam", "4") == 0
+        for lam in ("0", "0.3", "1.5"):
+            single = tmp_path / f"decode{lam}.tsv"
+            assert main(["decode", "--lattice-dir", str(lat_dir), "--vocab", str(paths.vocab),
+                         "--lm", str(lm_dir), "--lambda", lam, "--beam", "4",
+                         "--output", str(single)]) == 0
+            assert (out / f"decodes_lambda{lam}.tsv").read_bytes() == single.read_bytes()
+
+    def test_lattice_longer_than_lm_context(self, synth_pipeline, lm_dir, tmp_path,
+                                            capsys, monkeypatch):
+        # As for decode: 70 rows allow 69 content tokens, the LM holds 63.
+        paths = synth_pipeline["paths"]
+        v = synth_pipeline["vocab"].size
+        lat_dir = tmp_path / "lats"
+        lat_dir.mkdir()
+        rng = np.random.default_rng(5)
+        for name, n in (("a_short", 12), ("b_long", 70)):
+            save_lattice(normalized(rng.standard_normal((n, v))),
+                         lat_dir / f"{name}.lat", binary=True)
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("a_short\tloc-a\tsome words\nb_long\tloc-a\tmore words\n")
+        searches = spy_searches(monkeypatch)
+        out = tmp_path / "sweep"
+        assert self.sweep(lat_dir, paths.vocab, lm_dir, refs, out,
+                          "--values", "0,0.3", "--beam", "2") == 2
+        err = capsys.readouterr().err
+        assert "b_long.lat" in err and "69" in err and "63" in err
+        assert "--max-len" in err and "Traceback" not in err
+        assert not out.exists()
+        assert searches == []
+
+        assert self.sweep(lat_dir, paths.vocab, lm_dir, refs, out, "--values", "0,0.3",
+                          "--beam", "2", "--max-len", "63") == 0
+        assert searches == [1, 1]  # one search per utterance for both lambdas
+        assert [r.utt_id for r in read_decodes(out / "decodes_lambda0.3.tsv")] == \
+            ["a_short", "b_long"]
 
     def test_sweep_writes_csv(self, synth_pipeline, lm_dir, tmp_path,
                               capsys):

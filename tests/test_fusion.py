@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import ModelSource, TableLm, UniformLm, random_lattice
+from helpers import CountingLm, ModelSource, TableLm, UniformLm, random_lattice
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
 from moefusion.fusion import (
@@ -280,6 +280,102 @@ class TestModelSource:
         with pytest.raises(VocabMismatchError):
             beam_search_fusion(src, trained,
                                FusionConfig(lam=0.1, beam_size=4))
+
+
+def sweep_configs(rng, lam_pool=(0.0, 0.15, 0.3, 0.3, 0.8, 2.0)):
+    """2-6 configs differing in every field; lam includes 0 and repeats."""
+    configs = []
+    for _ in range(int(rng.integers(2, 7))):
+        beam = int(rng.integers(1, 9))
+        configs.append(FusionConfig(
+            lam=float(rng.choice(lam_pool)), beam_size=beam,
+            n_best=int(rng.integers(1, beam + 1)),
+            max_len=None if rng.random() < 0.5 else int(rng.integers(0, 6)),
+            length_normalize=bool(rng.random() < 0.5),
+        ))
+    return configs
+
+
+class TestLockstepSearch:
+    """Several configs in one search equal one search per config, exactly."""
+
+    def test_single_config_returns_one_list(self):
+        src = LatticeSource(random_lattice(10, 4, seed=40))
+        lm = TableLm.random(10, 6, seed=40)
+        cfg = FusionConfig(lam=0.3, beam_size=4, n_best=2)
+        assert beam_search_fusion(src, lm, [cfg]) == [beam_search_fusion(src, lm, cfg)]
+
+    def test_matches_per_config_search_on_random_lattices(self):
+        rng = np.random.default_rng(41)
+        seen_lams = []
+        for seed in range(60):
+            v = int(rng.integers(6, 14))
+            src = LatticeSource(random_lattice(v, int(rng.integers(2, 8)), seed + 900))
+            lm = TableLm.random(v, int(rng.integers(3, 12)), seed=seed)
+            configs = sweep_configs(rng)
+            seen_lams += [c.lam for c in configs]
+            together = beam_search_fusion(src, lm, configs)
+            assert together == [beam_search_fusion(src, lm, c) for c in configs], seed
+            assert all(len(h) >= 1 for h in together)
+        assert 0.0 in seen_lams and len(seen_lams) > len(set(seen_lams))
+
+    def test_matches_per_config_search_without_lm(self):
+        rng = np.random.default_rng(42)
+        for seed in range(10):
+            src = LatticeSource(random_lattice(9, 5, seed + 950))
+            configs = sweep_configs(rng)
+            assert beam_search_fusion(src, None, configs) == \
+                [beam_search_fusion(src, None, c) for c in configs]
+
+    def test_matches_per_config_search_with_checkpoint(self, trained):
+        rng = np.random.default_rng(43)
+        for seed in range(4):
+            src = LatticeSource(random_lattice(8, 11, seed + 970))
+            configs = sweep_configs(rng)
+            assert beam_search_fusion(src, trained, configs) == \
+                [beam_search_fusion(src, trained, c) for c in configs]
+
+    def test_matches_per_config_search_on_model_source(self, trained):
+        rng = np.random.default_rng(44)
+        lm = TableLm.random(8, 5, seed=44)
+        configs = sweep_configs(rng)
+        together = beam_search_fusion(ModelSource(trained), lm, configs)
+        assert together == [beam_search_fusion(ModelSource(trained), lm, c)
+                            for c in configs]
+
+    def test_lm_advances_once_per_distinct_prefix(self):
+        rng = np.random.default_rng(45)
+        for seed in range(20):
+            src = LatticeSource(random_lattice(10, 6, seed + 990))
+            table = TableLm.random(10, 7, seed=seed)
+            configs = sweep_configs(rng)
+            shared = CountingLm(table)
+            beam_search_fusion(src, shared, configs)
+            alone = [CountingLm(table) for _ in configs]
+            for lm, c in zip(alone, configs):
+                beam_search_fusion(src, lm, c)
+                # a single beam never holds the same prefix twice
+                assert len(set(lm.advanced)) == len(lm.advanced)
+            assert shared.starts == 1
+            assert len(set(shared.advanced)) == len(shared.advanced)
+            assert set(shared.advanced) == set().union(*(lm.advanced for lm in alone))
+
+    def test_repeated_config_costs_nothing_extra(self):
+        src = LatticeSource(random_lattice(10, 6, seed=46))
+        cfg = FusionConfig(lam=0.3, beam_size=8)
+        once, thrice = CountingLm(TableLm.random(10, 7, 46)), CountingLm(TableLm.random(10, 7, 46))
+        beam_search_fusion(src, once, cfg)
+        beam_search_fusion(src, thrice, [cfg, cfg, cfg])
+        assert thrice.advanced == once.advanced and thrice.starts == 1
+
+    def test_decode_utterances_takes_a_list(self, tmp_path, synth_pipeline):
+        vocab = synth_pipeline["vocab"]
+        for i in range(3):
+            save_lattice(random_lattice(vocab.size, 5, seed=47 + i), tmp_path / f"u{i}.lat")
+        lm = TableLm.random(vocab.size, 9, seed=47)
+        configs = [FusionConfig(lam=lam, beam_size=4) for lam in (0.0, 0.5, 2.0)]
+        together = decode_utterances(tmp_path, lm, configs, vocab)
+        assert together == [decode_utterances(tmp_path, lm, c, vocab) for c in configs]
 
 
 class TestLatticeFiles:
