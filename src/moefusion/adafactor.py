@@ -1,7 +1,7 @@
 """Adafactor optimizer: factored second moments, no first moment.
 
-The second-moment decay follows beta2_hat(t) = min(beta2, 1 - t^-decay_exponent)
-with steps counted from 1. Matrices keep only row and column mean
+The second-moment decay follows beta2_hat(t) = min(beta2, 1 - t^-0.8) with
+steps counted from 1. Matrices keep only row and column mean
 accumulators r and c. The factored moment is vhat = outer(r, c) / mean(r),
 but it is never built: the gradient is scaled by sqrt(mean(r)) / sqrt(r) along
 rows and by 1 / sqrt(c) along columns, which is g / sqrt(vhat) up to rounding.
@@ -21,12 +21,12 @@ from .numerics import check_finite
 __all__ = ["AdafactorHyper", "AdafactorState", "adafactor_step"]
 
 _EPS1 = 1e-30
+_DECAY_EXPONENT = 0.8
 
 
 @dataclass(frozen=True)
 class AdafactorHyper:
     beta2: float = 0.99
-    decay_exponent: float = 0.8
     clip_threshold: float = 1.0
     factored: bool = True
     learning_rate: float = 0.05
@@ -46,7 +46,7 @@ class AdafactorHyper:
             raise ConfigError("warmup_steps must be >= 1")
 
     def decay(self, t: int) -> float:
-        return min(self.beta2, 1.0 - float(t) ** (-self.decay_exponent))
+        return min(self.beta2, 1.0 - float(t) ** -_DECAY_EXPONENT)
 
     def lr(self, t: int) -> float:
         if self.lr_schedule == "constant":

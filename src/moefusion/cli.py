@@ -16,7 +16,7 @@ from .adafactor import AdafactorHyper
 from .checkpoint import load_checkpoint
 from .errors import UsageError
 from .fusion import (
-    FusionConfig, decode_utterances, read_decodes, write_decodes,
+    DecodeRow, FusionConfig, decode_utterances, read_decodes, write_decodes,
 )
 from .model import MoeLmConfig
 from .synthetic import gen_synthetic
@@ -169,18 +169,23 @@ def _read_hyps(path: Path, refs: dict[str, tuple[str, str]]) -> dict[str, tuple[
             first = line
             break
     if first.count("\t") == 4:
-        out = {}
-        for row in read_decodes(path):
-            if row.utt_id not in refs:
-                raise ValueError(f"hypothesis for unknown utterance {row.utt_id!r}")
-            out[row.utt_id] = (refs[row.utt_id][0], row.text)
-        return out
+        return _decoded_hyps(read_decodes(path), refs)
     return read_utt_file(path)
 
 
-def _evaluate(refs_path: Path, hyps_path: Path):
-    refs = read_utt_file(refs_path)
-    hyps = _read_hyps(hyps_path, refs)
+def _decoded_hyps(rows: list[DecodeRow],
+                  refs: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
+    """utt_id -> (reference locale, decoded text) for decode rows."""
+    out = {}
+    for row in rows:
+        if row.utt_id not in refs:
+            raise ValueError(f"hypothesis for unknown utterance {row.utt_id!r}")
+        out[row.utt_id] = (refs[row.utt_id][0], row.text)
+    return out
+
+
+def _evaluate(refs: dict[str, tuple[str, str]], hyps: dict[str, tuple[str, str]]):
+    """Per-locale WER breakdowns of hyps against refs, both utt_id -> (locale, text)."""
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise ValueError(f"hypotheses missing for {len(missing)} utterances, "
@@ -198,7 +203,8 @@ def _evaluate(refs_path: Path, hyps_path: Path):
 def cmd_evaluate(args) -> int:
     refs_path = _require_file(args.refs, "reference file")
     hyps_path = _require_file(args.hyps, "hypothesis file")
-    per_locale = _evaluate(refs_path, hyps_path)
+    refs = read_utt_file(refs_path)
+    per_locale = _evaluate(refs, _read_hyps(hyps_path, refs))
     baseline = None
     if args.baseline:
         base_report = report_from_json(_require_file(args.baseline, "baseline report"))
@@ -248,7 +254,7 @@ def cmd_sweep_lambda(args) -> int:
     _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
-    refs_path = _require_file(args.refs, "reference file")
+    refs = read_utt_file(_require_file(args.refs, "reference file"))
     lm = load_checkpoint(_require_file(args.lm, "LM checkpoint"))
     configs = [FusionConfig(lam=lam, beam_size=args.beam, max_len=args.max_len)
                for lam in values]
@@ -258,9 +264,8 @@ def cmd_sweep_lambda(args) -> int:
     lines = ["lambda,macro_wer,micro_wer"]
     best = None
     for lam, rows in zip(values, decodes):
-        hyp_path = out_dir / f"decodes_lambda{lam:g}.tsv"
-        write_decodes(rows, hyp_path)
-        per_locale = _evaluate(refs_path, hyp_path)
+        write_decodes(rows, out_dir / f"decodes_lambda{lam:g}.tsv")
+        per_locale = _evaluate(refs, _decoded_hyps(rows, refs))
         report = aggregate(per_locale)
         lines.append(f"{lam:g},{report.macro_avg_wer:.17g},{report.micro_avg_wer:.17g}")
         print(f"lambda {lam:g}: macro wer {report.macro_avg_wer:.4f}, "

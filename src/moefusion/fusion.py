@@ -10,6 +10,11 @@ One beam search can run several configs (a lambda sweep) in lockstep: each
 config's beam selects exactly as it would alone, and the LM advances once
 per distinct child prefix per step across configs.
 
+A beam keeps its scores in arrays and builds Hypothesis objects only for
+finished decodes. Each input is floored (NaN rejected, values raised to
+LOG_FLOOR) once where it enters the search: a step's stacked source rows as
+one block, an LM row when the scorer returns it.
+
 Ties anywhere resolve toward the lexicographically smaller token sequence,
 so results are deterministic for identical inputs.
 """
@@ -17,7 +22,7 @@ so results are deterministic for identical inputs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -32,7 +37,7 @@ from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 __all__ = [
     "LOG_FLOOR", "FusionConfig", "Hypothesis",
     "LatticeSource", "CheckpointLmScorer",
-    "fuse", "e2e_step", "beam_search_fusion", "exhaustive_oracle",
+    "fuse", "beam_search_fusion", "exhaustive_oracle",
     "load_lattice", "save_lattice", "DecodeRow", "decode_utterances",
     "write_decodes", "read_decodes",
 ]
@@ -67,18 +72,20 @@ class FusionConfig:
 
 @dataclass
 class Hypothesis:
-    """A (partial or finished) decode; finished iff the last token is EOS."""
+    """A decode; finished iff the last token is EOS (every one the search returns)."""
 
     tokens: tuple[int, ...]
     e2e_logprob: float
     lm_logprob: float
     combined: float
     finished: bool
-    lm_state: "LmState | None" = field(default=None, repr=False, compare=False)
-    lm_dist: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
 
 class PosteriorSource(Protocol):
+    """step(prefix, t) is the log-distribution of the token at position t
+    after prefix. Rows need not be floored; the search floors each step's
+    stacked rows once."""
+
     vocab_size: int
     max_steps: int
 
@@ -147,11 +154,6 @@ def fuse(e2e_logprob: float, lm_logprob: float, lam: float) -> float:
     return float(e2e_logprob) + float(lam) * float(lm_logprob)
 
 
-def e2e_step(source: PosteriorSource, prefix: Sequence[int], t: int) -> np.ndarray:
-    """Floored posterior row for position t given the prefix."""
-    return _floor(source.step(tuple(int(x) for x in prefix), t))
-
-
 def _wrap_lm(lm):
     if lm is None:
         return None
@@ -174,11 +176,6 @@ def _content_limit(source, config: FusionConfig) -> int:
     return steps if config.max_len is None else min(steps, config.max_len)
 
 
-def _final_rank_key(h: Hypothesis, length_normalize: bool):
-    score = h.combined / len(h.tokens) if length_normalize else h.combined
-    return (-score, h.tokens)
-
-
 def beam_search_fusion(
     source: PosteriorSource,
     lm,
@@ -192,7 +189,7 @@ def beam_search_fusion(
     in lockstep, each selecting exactly as it would alone; the LM starts
     once and, at each step, advances once per distinct child prefix across
     configs, so LM cost is O(beam * length) per config at most, regardless
-    of vocab size. No LM state outlives its step unless a hypothesis keeps it.
+    of vocab size. No LM state outlives its step unless a beam keeps it.
     """
     single = isinstance(configs, FusionConfig)
     configs = [configs] if single else list(configs)
@@ -202,85 +199,72 @@ def beam_search_fusion(
 
     if lm_scorer is not None:
         state0, dist0 = lm_scorer.start()
+        root = (state0, _floor(dist0))
     else:
-        state0, dist0 = None, None
-    root = Hypothesis(
-        tokens=(), e2e_logprob=0.0, lm_logprob=0.0, combined=0.0,
-        finished=False, lm_state=state0, lm_dist=dist0,
-    )
-    beams = [[root] for _ in configs]
+        root = (None, np.zeros(source.vocab_size))
+    # A beam is its lex-sorted token prefixes, a (B, 3) array of their
+    # (e2e, lm, combined) scores and each prefix's (LM state, floored LM row).
+    beams = [([()], np.zeros((1, 3)), [root]) for _ in configs]
     pools: list[list[Hypothesis]] = [[] for _ in configs]
 
     for t in range(max(limits, default=-1) + 1):
         advanced: dict[tuple[int, ...], tuple] = {}  # child prefix -> LM output
         for i, config in enumerate(configs):
-            if beams[i]:
+            if beams[i][0]:
                 beams[i] = _beam_step(source, lm_scorer, config, beams[i], t,
                                       t == limits[i], pools[i], advanced)
 
     results = [
-        sorted(pool, key=lambda h: _final_rank_key(h, c.length_normalize))[: c.n_best]
+        sorted(pool, key=lambda h, norm=c.length_normalize: (
+            -(h.combined / len(h.tokens) if norm else h.combined), h.tokens,
+        ))[: c.n_best]
         for pool, c in zip(pools, configs)
     ]
     return results[0] if single else results
 
 
-def _beam_step(source, lm_scorer, config, survivors, t, last, pool, advanced):
-    """One step of one config's beam: finished children go to pool, the rest
-    are returned lex-sorted. An LM advance is looked up in, or added to,
-    the step's shared `advanced` dict under the child's token prefix."""
+def _beam_step(source, lm_scorer, config, beam, t, last, pool, advanced):
+    """One step of one config's beam: finished children go to pool as
+    Hypothesis objects, the rest come back as the next beam. An LM advance is
+    looked up in, or added to, the step's shared `advanced` dict under the
+    child's token prefix."""
+    prefixes, scores, lm_out = beam
     v = source.vocab_size
-    n = len(survivors)
-    e2e_rows = np.stack([e2e_step(source, h.tokens, t) for h in survivors])
-    if lm_scorer is not None:
-        lm_rows = np.stack([_floor(h.lm_dist) for h in survivors])
-    else:
-        lm_rows = np.zeros((n, v))
-    base = np.array([h.combined for h in survivors])
-    totals = base[:, None] + e2e_rows + config.lam * lm_rows
-    if last:
-        # Content budget exhausted: EOS is the only legal extension.
-        keep = np.full_like(totals, -np.inf)
-        keep[:, EOS_ID] = totals[:, EOS_ID]
-        totals = keep
-
+    e2e_rows = _floor(np.stack([source.step(p, t) for p in prefixes]))
+    lm_rows = np.stack([row for _, row in lm_out])
+    totals = scores[:, 2:] + e2e_rows + config.lam * lm_rows
+    if last:  # content budget exhausted: EOS is the only legal extension
+        totals[:, np.arange(v) != EOS_ID] = -np.inf
     flat = totals.ravel()
-    finite = np.nonzero(np.isfinite(flat))[0]
-    parents = finite // v
-    toks = finite % v
+    finite = np.flatnonzero(np.isfinite(flat))
+    parents, toks = np.divmod(finite, v)
     # Primary: fused score descending; ties: lexicographically smaller
-    # sequence. Survivors are kept lex-sorted, so (parent rank, token)
-    # orders equal-length candidate sequences lexicographically.
+    # sequence. The beam is kept lex-sorted, so (parent rank, token)
+    # orders equal-length candidate sequences lexicographically, and so
+    # does the flat index parent * v + token: sorting the selection puts
+    # the children in lex order.
     order = np.lexsort((toks, parents, -flat[finite]))
-    selected = finite[order[: config.beam_size]]
+    parents, toks = np.divmod(np.sort(finite[order[: config.beam_size]]), v)
+    # Selected totals are finite, so every child score is.
+    e2e = scores[parents, 0] + e2e_rows[parents, toks]
+    lm = scores[parents, 1] + lm_rows[parents, toks]
+    child_scores = np.stack([e2e, lm, e2e + config.lam * lm], axis=1)
 
-    next_survivors: list[Hypothesis] = []
-    for idx in selected.tolist():
-        p, tok = idx // v, idx % v
-        parent = survivors[p]
-        e2e_lp = parent.e2e_logprob + float(e2e_rows[p, tok])
-        lm_lp = parent.lm_logprob + float(lm_rows[p, tok])
-        combined = fuse(e2e_lp, lm_lp, config.lam)
-        tokens = parent.tokens + (tok,)
-        if tok == EOS_ID:
-            pool.append(Hypothesis(
-                tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
-                combined=combined, finished=True,
-            ))
-            continue
-        lm_state = lm_dist = None
+    ends = toks == EOS_ID
+    for p, row in zip(parents[ends].tolist(), child_scores[ends].tolist()):
+        pool.append(Hypothesis(prefixes[p] + (EOS_ID,), *row, finished=True))
+    next_prefixes, next_lm = [], []
+    for p, tok in zip(parents[~ends].tolist(), toks[~ends].tolist()):
+        prefix = prefixes[p] + (tok,)
+        out = lm_out[p]
         if lm_scorer is not None:
-            hit = advanced.get(tokens)
-            if hit is None:
-                hit = advanced[tokens] = lm_scorer.advance(parent.lm_state, tok)
-            lm_state, lm_dist = hit
-        next_survivors.append(Hypothesis(
-            tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
-            combined=combined, finished=False,
-            lm_state=lm_state, lm_dist=lm_dist,
-        ))
-    next_survivors.sort(key=lambda h: h.tokens)
-    return next_survivors
+            out = advanced.get(prefix)
+            if out is None:
+                state, row = lm_scorer.advance(lm_out[p][0], tok)
+                out = advanced[prefix] = (state, _floor(row))
+        next_prefixes.append(prefix)
+        next_lm.append(out)
+    return next_prefixes, child_scores[~ends], next_lm
 
 
 def exhaustive_oracle(
@@ -320,7 +304,7 @@ def exhaustive_oracle(
             )
 
     def dfs(prefix, e2e_lp, lm_lp, lm_state, lm_dist, depth):
-        row = e2e_step(source, prefix, depth)
+        row = _floor(source.step(prefix, depth))
         lm_row = _floor(lm_dist) if lm_scorer is not None else None
         lm_eos = float(lm_row[EOS_ID]) if lm_row is not None else 0.0
         consider(prefix + (EOS_ID,), e2e_lp + float(row[EOS_ID]), lm_lp + lm_eos)

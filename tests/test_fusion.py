@@ -8,7 +8,7 @@ from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
 from moefusion.fusion import (
     DecodeRow, FusionConfig, LatticeSource, CheckpointLmScorer,
-    beam_search_fusion, decode_utterances, e2e_step, exhaustive_oracle, fuse,
+    beam_search_fusion, decode_utterances, exhaustive_oracle, fuse,
     load_lattice, read_decodes, save_lattice, write_decodes,
 )
 from moefusion.model import MoeLmConfig, initial_state, lm_forward
@@ -97,7 +97,7 @@ class TestLatticeSource:
         frames[0, 5] = -1e12  # deep but legal once floored
         frames[0] -= logsumexp(frames[0])
         src = LatticeSource(frames)
-        assert e2e_step(src, (), 0)[5] == -1e9
+        assert src.step((), 0)[5] == -1e9
 
 
 class TestBeamBasics:
@@ -219,6 +219,75 @@ class TestOracleAgreement:
         src = LatticeSource(random_lattice(16, 8, seed=12))
         with pytest.raises(ValueError, match="1e"):
             exhaustive_oracle(src, None, 0.0, max_len=6)
+
+
+class NanSource:
+    """Prefix-dependent source over a lattice; its row at step `at` holds a NaN."""
+
+    def __init__(self, frames, at):
+        self.frames = np.asarray(frames)
+        self.vocab_size = self.frames.shape[1]
+        self.max_steps = self.frames.shape[0]
+        self.at = at
+
+    def step(self, prefix, t):
+        row = np.roll(self.frames[t], sum(prefix))
+        if t == self.at:
+            row[EOS_ID] = np.nan
+        return row
+
+
+class NanLm:
+    """Wraps a scorer; its second advance() returns a row holding a NaN."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab_size = inner.vocab_size
+        self.advances = 0
+
+    def start(self):
+        return self.inner.start()
+
+    def advance(self, state, token):
+        self.advances += 1
+        state, row = self.inner.advance(state, token)
+        if self.advances == 2:
+            row = row.copy()
+            row[5] = np.nan
+        return state, row
+
+
+NAN_CONFIGS = [
+    FusionConfig(lam=0.3, beam_size=4),
+    [FusionConfig(lam=0.0, beam_size=4), FusionConfig(lam=0.5, beam_size=2, max_len=3)],
+]
+
+
+class TestNanGuards:
+    """A NaN from a custom source or scorer mid-search raises NumericError."""
+
+    @pytest.mark.parametrize("configs", NAN_CONFIGS)
+    def test_source_nan_at_step_two(self, configs):
+        src = NanSource(random_lattice(10, 6, seed=60), at=2)
+        with pytest.raises(NumericError):
+            beam_search_fusion(src, TableLm.random(10, 5, seed=60), configs)
+        with pytest.raises(NumericError):
+            beam_search_fusion(src, None, configs)
+
+    @pytest.mark.parametrize("configs", NAN_CONFIGS)
+    def test_scorer_nan_on_second_advance(self, configs):
+        src = LatticeSource(random_lattice(10, 6, seed=61))
+        with pytest.raises(NumericError):
+            beam_search_fusion(src, NanLm(TableLm.random(10, 5, seed=61)), configs)
+
+    def test_oracle_raises(self):
+        lm = TableLm.random(8, 5, seed=62)
+        with pytest.raises(NumericError):
+            exhaustive_oracle(NanSource(random_lattice(8, 4, seed=62), at=2),
+                              lm, 0.3, max_len=3)
+        with pytest.raises(NumericError):
+            exhaustive_oracle(LatticeSource(random_lattice(8, 4, seed=62)),
+                              NanLm(lm), 0.3, max_len=3)
 
 
 @pytest.fixture(scope="module")
