@@ -241,7 +241,7 @@ def gather_cols(a, idx):
         np.put_along_axis(out, idx, g, axis=1)
         return out
 
-    return _node(np.take_along_axis(av, idx, axis=1), [(a, vjp)])
+    return _node(av[np.arange(av.shape[0])[:, None], idx], [(a, vjp)])
 
 
 def gather_pairs(a, rows, cols):

@@ -1,19 +1,21 @@
 """Shallow-fusion beam search over an external posterior source and an LM.
 
 Hypotheses are scored as combined = e2e_logprob + lam * lm_logprob. The
-posterior source is any object with step(prefix, t); LatticeSource serves
+posterior source is any object with step(prefix, t), optionally with
+rows(prefixes, t) for a step's rows as one block; LatticeSource serves
 precomputed, prefix-independent per-step log-distributions. max_len
 counts content tokens; a hypothesis reaching it may only extend with EOS,
 which makes the beam's search space identical to the exhaustive oracle's.
 
 One beam search can run several configs (a lambda sweep) in lockstep: each
-config's beam selects exactly as it would alone, and the LM advances once
-per distinct child prefix per step across configs.
+config's beam selects exactly as it would alone. Each step the LM scores the
+distinct children of every config in one advance_rows call (see
+CheckpointLmScorer), each child named by its parent's LM row * V + token.
 
 A beam keeps its scores in arrays and builds Hypothesis objects only for
 finished decodes. Each input is floored (NaN rejected, values raised to
-LOG_FLOOR) once where it enters the search: a step's stacked source rows as
-one block, an LM row when the scorer returns it.
+LOG_FLOOR) once where it enters the search: a step's source rows and a
+step's LM rows, each as one block (LatticeSource floors at load).
 
 Ties anywhere resolve toward the lexicographically smaller token sequence,
 so results are deterministic for identical inputs.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import NumericError, VocabMismatchError
-from .model import LmState, initial_state, lm_score_step
+from .model import LmState, initial_state, lm_score_rows, lm_score_step
 from .numerics import logsumexp
 from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 
@@ -72,19 +74,19 @@ class FusionConfig:
 
 @dataclass
 class Hypothesis:
-    """A decode; finished iff the last token is EOS (every one the search returns)."""
+    """A finished decode: its tokens end with EOS."""
 
     tokens: tuple[int, ...]
     e2e_logprob: float
     lm_logprob: float
     combined: float
-    finished: bool
 
 
 class PosteriorSource(Protocol):
     """step(prefix, t) is the log-distribution of the token at position t
-    after prefix. Rows need not be floored; the search floors each step's
-    stacked rows once."""
+    after prefix; it need not be floored. A source may also have
+    rows(prefixes, t), the floored (B, V) block of those rows; without it
+    the search stacks the step rows and floors them once."""
 
     vocab_size: int
     max_steps: int
@@ -128,9 +130,24 @@ class LatticeSource:
             raise ValueError(f"lattice has {self.max_steps} rows, asked for {t}")
         return self.frames[t]
 
+    def rows(self, prefixes: Sequence[tuple[int, ...]], t: int) -> np.ndarray:
+        """Row t for every prefix, as one read-only (B, V) broadcast view."""
+        return np.broadcast_to(self.step((), t), (len(prefixes), self.vocab_size))
+
 
 class CheckpointLmScorer:
-    """Incremental next-token scorer over a trained checkpoint."""
+    """The LM scorer over a checkpoint, and the scorer protocol.
+
+    start() is the state after BOS and its (V,) row; advance(state, token)
+    one token further, leaving state intact (the oracle branches states).
+    The beam scores blocks: start_rows(length) begins a search of at most
+    `length` positions (BOS included) and gives BOS's one-row block and row;
+    advance_rows(block, parents, tokens) gives the next block, row r
+    extending row parents[r] by tokens[r], and its (R, V) rows. Here start
+    and advance run lm_score_step; advance_rows runs lm_score_rows between
+    two KV blocks that alternate as its destination, each grown only when a
+    step needs more rows than it has.
+    """
 
     def __init__(self, ckpt: Checkpoint):
         self._params = ckpt.tensors
@@ -143,6 +160,18 @@ class CheckpointLmScorer:
 
     def advance(self, state: LmState, token: int) -> tuple[LmState, np.ndarray]:
         return lm_score_step(self._params, self.config, state, int(token))
+
+    def start_rows(self, length: int) -> tuple[LmState, np.ndarray]:
+        self._length, self._blocks = length, [initial_state(self.config, 0)] * 2
+        return self.start()
+
+    def advance_rows(self, block: LmState, parents: np.ndarray,
+                     tokens: np.ndarray) -> tuple[LmState, np.ndarray]:
+        i = int(block is self._blocks[0])
+        if self._blocks[i].keys[0].shape[0] < len(tokens):
+            self._blocks[i] = initial_state(self.config, len(tokens), self._length)
+        dst = self._blocks[i]
+        return dst, lm_score_rows(self._params, self.config, block, dst, parents, tokens)
 
 
 def fuse(e2e_logprob: float, lm_logprob: float, lam: float) -> float:
@@ -183,36 +212,46 @@ def beam_search_fusion(
 ):
     """Beam search under the fused score; returns up to n_best finished hyps.
 
-    lm may be None (pure e2e), a Checkpoint, or any scorer with
-    start()/advance(). configs is one FusionConfig (returns its n-best list)
-    or a sequence (returns one list per config). The configs' beams advance
-    in lockstep, each selecting exactly as it would alone; the LM starts
-    once and, at each step, advances once per distinct child prefix across
-    configs, so LM cost is O(beam * length) per config at most, regardless
-    of vocab size. No LM state outlives its step unless a beam keeps it.
+    lm may be None (pure e2e), a Checkpoint, or any scorer with the
+    CheckpointLmScorer methods. configs is one FusionConfig (returns its
+    n-best list) or a sequence (returns one list per config). The configs'
+    beams advance in lockstep, each selecting exactly as it would alone; the
+    LM starts once and scores each step's distinct children of every config
+    in one advance_rows call: O(beam * length) rows per config at most.
     """
     single = isinstance(configs, FusionConfig)
     configs = [configs] if single else list(configs)
     lm_scorer = _wrap_lm(lm)
     _check_vocab(source, lm_scorer)
     limits = [_content_limit(source, c) for c in configs]
+    v = source.vocab_size
 
+    block, root = None, np.zeros((1, v))
     if lm_scorer is not None:
-        state0, dist0 = lm_scorer.start()
-        root = (state0, _floor(dist0))
-    else:
-        root = (None, np.zeros(source.vocab_size))
+        block, dist0 = lm_scorer.start_rows(max(limits, default=0) + 1)
+        root = _floor(dist0)[None]
     # A beam is its lex-sorted token prefixes, a (B, 3) array of their
-    # (e2e, lm, combined) scores and each prefix's (LM state, floored LM row).
-    beams = [([()], np.zeros((1, 3)), [root]) for _ in configs]
+    # (e2e, lm, combined) scores, each prefix's row in the LM block and the
+    # (B, V) floored LM rows (zeros without an LM).
+    beams = [([()], np.zeros((1, 3)), np.zeros(1, dtype=np.int64), root)
+             for _ in configs]
     pools: list[list[Hypothesis]] = [[] for _ in configs]
 
     for t in range(max(limits, default=-1) + 1):
-        advanced: dict[tuple[int, ...], tuple] = {}  # child prefix -> LM output
-        for i, config in enumerate(configs):
-            if beams[i][0]:
-                beams[i] = _beam_step(source, lm_scorer, config, beams[i], t,
-                                      t == limits[i], pools[i], advanced)
+        live = [i for i, beam in enumerate(beams) if beam[0]]
+        if not live:
+            break
+        kids = [_beam_step(source, configs[i], beams[i], t, t == limits[i], pools[i])
+                for i in live]
+        keys, inverse = np.unique(np.concatenate([k for _, _, k in kids]),
+                                  return_inverse=True)
+        dist = np.zeros((keys.size, v))
+        if lm_scorer is not None and keys.size:
+            block, dist = lm_scorer.advance_rows(block, *np.divmod(keys, v))
+            dist = _floor(dist)
+        split = np.split(inverse, np.cumsum([len(k) for _, _, k in kids])[:-1])
+        for i, (prefixes, scores, _), rows in zip(live, kids, split):
+            beams[i] = (prefixes, scores, rows, dist[rows])
 
     results = [
         sorted(pool, key=lambda h, norm=c.length_normalize: (
@@ -223,16 +262,16 @@ def beam_search_fusion(
     return results[0] if single else results
 
 
-def _beam_step(source, lm_scorer, config, beam, t, last, pool, advanced):
-    """One step of one config's beam: finished children go to pool as
-    Hypothesis objects, the rest come back as the next beam. An LM advance is
-    looked up in, or added to, the step's shared `advanced` dict under the
-    child's token prefix."""
-    prefixes, scores, lm_out = beam
+def _beam_step(source, config, beam, t, last, pool):
+    """Select one config's children at step t. Finished children go to pool
+    as Hypothesis objects; the rest come back as (prefixes, scores, keys),
+    where a child's key, its parent's LM row * V + its token, names it in
+    the step's LM block."""
+    prefixes, scores, lm_rows, lm_dist = beam
     v = source.vocab_size
-    e2e_rows = _floor(np.stack([source.step(p, t) for p in prefixes]))
-    lm_rows = np.stack([row for _, row in lm_out])
-    totals = scores[:, 2:] + e2e_rows + config.lam * lm_rows
+    e2e_rows = (source.rows(prefixes, t) if hasattr(source, "rows")
+                else _floor(np.stack([source.step(p, t) for p in prefixes])))
+    totals = scores[:, 2:] + e2e_rows + config.lam * lm_dist
     if last:  # content budget exhausted: EOS is the only legal extension
         totals[:, np.arange(v) != EOS_ID] = -np.inf
     flat = totals.ravel()
@@ -247,24 +286,15 @@ def _beam_step(source, lm_scorer, config, beam, t, last, pool, advanced):
     parents, toks = np.divmod(np.sort(finite[order[: config.beam_size]]), v)
     # Selected totals are finite, so every child score is.
     e2e = scores[parents, 0] + e2e_rows[parents, toks]
-    lm = scores[parents, 1] + lm_rows[parents, toks]
+    lm = scores[parents, 1] + lm_dist[parents, toks]
     child_scores = np.stack([e2e, lm, e2e + config.lam * lm], axis=1)
 
     ends = toks == EOS_ID
     for p, row in zip(parents[ends].tolist(), child_scores[ends].tolist()):
-        pool.append(Hypothesis(prefixes[p] + (EOS_ID,), *row, finished=True))
-    next_prefixes, next_lm = [], []
-    for p, tok in zip(parents[~ends].tolist(), toks[~ends].tolist()):
-        prefix = prefixes[p] + (tok,)
-        out = lm_out[p]
-        if lm_scorer is not None:
-            out = advanced.get(prefix)
-            if out is None:
-                state, row = lm_scorer.advance(lm_out[p][0], tok)
-                out = advanced[prefix] = (state, _floor(row))
-        next_prefixes.append(prefix)
-        next_lm.append(out)
-    return next_prefixes, child_scores[~ends], next_lm
+        pool.append(Hypothesis(prefixes[p] + (EOS_ID,), *row))
+    parents, toks = parents[~ends], toks[~ends]
+    kids = [prefixes[p] + (tok,) for p, tok in zip(parents.tolist(), toks.tolist())]
+    return kids, child_scores[~ends], lm_rows[parents] * v + toks
 
 
 def exhaustive_oracle(
@@ -300,7 +330,7 @@ def exhaustive_oracle(
         ):
             best = Hypothesis(
                 tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
-                combined=combined, finished=True,
+                combined=combined,
             )
 
     def dfs(prefix, e2e_lp, lm_lp, lm_state, lm_dist, depth):

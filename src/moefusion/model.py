@@ -7,13 +7,14 @@ mask; embeddings are tied to the output projection by default.
 
 Two execution paths share the same parameters:
   * build_forward: batched differentiable graph (training and full scoring),
-  * lm_score_step: incremental path with per-layer KV caches (decoding).
+  * lm_score_rows: one decoding step for a block of R rows over per-layer
+    KV blocks; lm_score_step is its one-row call.
 The two agree to within 1e-5 per log-probability; tests enforce this. Both
-run the same layer library: ad.layer_norm, _ffn (over ad.gelu) and
-_output_head. On plain arrays an autodiff op records no graph and returns an
-ndarray, so the decode step runs them at numpy speed. build_forward and
-moe_layer_forward run the one mixture routine, _mixture, whose dense variant
-is the sparse reference.
+run the same layer library: ad.layer_norm, _ffn (over ad.gelu), the one
+mixture routine _mixture with its router gate_topk, and _output_head. On
+plain arrays an autodiff op records no graph and returns an ndarray, so the
+decode step runs them at numpy speed. _mixture's dense variant is the
+sparse reference.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "param_shapes", "init_params", "positional_table",
     "gate_topk", "moe_layer_forward",
     "build_forward", "lm_forward",
-    "initial_state", "lm_score_step",
+    "initial_state", "lm_score_rows", "lm_score_step",
 ]
 
 ATTN_MASK_VALUE = -1e9
@@ -103,11 +104,12 @@ class MoeLmConfig:
 
 @dataclass
 class GateOutput:
-    """Routing decision for one token."""
+    """Routing of one token (expert_indices a tuple of k ints) or of N tokens
+    (an (N, k) array; every field gains the leading N axis)."""
 
-    expert_indices: tuple[int, ...]
-    combine_weights: np.ndarray
-    all_gate_logits: np.ndarray
+    expert_indices: "tuple[int, ...] | np.ndarray"
+    combine_weights: "np.ndarray | ad.Var"
+    all_gate_logits: "np.ndarray | ad.Var"
 
 
 @dataclass
@@ -122,7 +124,7 @@ class FfnParams:
 
 @dataclass
 class LmState:
-    """Per-layer key/value caches for incremental scoring."""
+    """Per-layer (rows, H, length, dh) KV caches: row r's are [r, :, :position]."""
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
@@ -211,31 +213,25 @@ def positional_table(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
-def _topk_indices(logits_2d: np.ndarray, k: int) -> np.ndarray:
-    """Top-k per row by logit value, ties to the lower expert index."""
-    order = np.argsort(-logits_2d, axis=-1, kind="stable")
-    return order[:, :k]
+def gate_topk(token_repr, gate_weight, k: int) -> GateOutput:
+    """Route tokens: pick the top-k experts, softmax-renormalize their logits.
 
-
-def gate_topk(token_repr: np.ndarray, gate_weight: np.ndarray, k: int) -> GateOutput:
-    """Route one token: pick top-k experts, softmax-renormalize their logits.
-
-    The combine weights equal the full softmax over all experts renormalized
-    to the selected set. Ties in the logits resolve to the lower expert index.
+    The one router of training and decoding. token_repr is one token (d,) or
+    a block (N, d), arrays or (for a block) a Var. The combine weights equal
+    the full softmax over all experts renormalized to the selected set. Ties
+    in the logits resolve to the lower expert index.
     """
-    token_repr = np.asarray(token_repr, dtype=np.float64)
-    gate_weight = np.asarray(gate_weight, dtype=np.float64)
     e = gate_weight.shape[1]
     if k > e:
         raise ConfigError(f"cannot select top-{k} of {e} experts")
-    logits = check_finite(token_repr @ gate_weight, "gate logits")
-    sel = _topk_indices(logits[None, :], k)[0]
-    weights = softmax(logits[sel])
-    return GateOutput(
-        expert_indices=tuple(int(i) for i in sel),
-        combine_weights=weights,
-        all_gate_logits=logits,
-    )
+    one = ad.value(token_repr).ndim == 1
+    logits = _mm(token_repr[None] if one else token_repr, gate_weight)
+    check_finite(ad.value(logits), "gate logits")
+    sel = np.argsort(-ad.value(logits), axis=-1, kind="stable")[:, :k]
+    weights = ad.softmax(ad.gather_cols(logits, sel), axis=-1)
+    if one:
+        return GateOutput(tuple(int(i) for i in sel[0]), weights[0], logits[0])
+    return GateOutput(sel, weights, logits)
 
 
 def _ffn_params(p: Mapping, prefix: str) -> FfnParams:
@@ -299,18 +295,27 @@ def _attention_block(x, p, prefix, bias, config):
     return ad.matmul(ctx, p[prefix + "attn.wo"])
 
 
+def _mm(x, w):
+    """x @ w, running a one-row array product as two equal rows: BLAS rounds
+    one row (gemv) unlike several (gemm), and a row's value must not depend
+    on the rows scored with it (lockstep searches rely on it)."""
+    if isinstance(x, np.ndarray) and isinstance(w, np.ndarray) and x.shape[:-1] == (1,):
+        return (np.repeat(x, 2, axis=0) @ w)[:1]
+    return x @ w
+
+
 def _ffn(x, p: FfnParams):
     """Two-layer GELU FFN over the last axis; x and p may be Vars or arrays."""
-    return ad.gelu(x @ p.w1 + p.b1) @ p.w2 + p.b2
+    return _mm(ad.gelu(_mm(x, p.w1) + p.b1), p.w2) + p.b2
 
 
 def _output_head(x, params, config: MoeLmConfig):
     """Final layer norm, output projection (tied or not) and log-softmax."""
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     if config.tied_embeddings:
-        logits = x @ ad.swapaxes(params["embed.weight"], 0, 1)
+        logits = _mm(x, ad.swapaxes(params["embed.weight"], 0, 1))
     else:
-        logits = x @ params["lm_head.weight"]
+        logits = _mm(x, params["lm_head.weight"])
     return ad.log_softmax(logits, axis=-1)
 
 
@@ -323,17 +328,13 @@ def _mixture(flat, gate_weight, experts: Sequence[FfnParams], k: int, impl: str)
     probs, and needs k == E, where the two are the same function.
     """
     n, d = flat.shape
-    e = len(experts)
-    if k > e:
-        raise ConfigError(f"cannot select top-{k} of {e} experts")
     if impl not in ("sparse", "dense"):
         raise ValueError(f"unknown impl {impl!r}")
-    if impl == "dense" and k != e:
+    if impl == "dense" and k != len(experts):
         raise ConfigError("dense mixture requires experts_per_token == num_experts")
-    gate_logits = flat @ gate_weight
-    check_finite(ad.value(gate_logits), "gate logits")
-    probs = ad.softmax(gate_logits, axis=-1)
-    sel = _topk_indices(ad.value(gate_logits), k)
+    gate = gate_topk(flat, gate_weight, k)
+    probs = ad.softmax(gate.all_gate_logits, axis=-1)
+    sel = gate.expert_indices
 
     if impl == "dense":
         out = None
@@ -343,7 +344,7 @@ def _mixture(flat, gate_weight, experts: Sequence[FfnParams], k: int, impl: str)
             out = term if out is None else ad.add(out, term)
         return out, probs, sel
 
-    selw = ad.softmax(ad.gather_cols(gate_logits, sel), axis=-1)
+    selw = gate.combine_weights
     out = np.zeros((n, d))
     for idx, expert in enumerate(experts):
         tok, slot = np.nonzero(sel == idx)
@@ -450,64 +451,63 @@ def lm_forward(
     return build_forward(params, ids[None, :], config).log_probs[0]
 
 
-def initial_state(config: MoeLmConfig) -> LmState:
-    h, dh = config.num_heads, config.head_dim
-    empty = [np.zeros((h, 0, dh)) for _ in range(config.num_layers)]
-    return LmState(
-        keys=[e.copy() for e in empty],
-        values=[e.copy() for e in empty],
-        position=0,
-    )
+def initial_state(config: MoeLmConfig, rows: int = 1, length: int = 0) -> LmState:
+    """An empty KV block of `rows` rows with room for `length` positions."""
+    shape = (rows, config.num_heads, length, config.head_dim)
+    return LmState(keys=[np.zeros(shape) for _ in range(config.num_layers)],
+                   values=[np.zeros(shape) for _ in range(config.num_layers)])
 
 
-def lm_score_step(
-    params: Mapping[str, np.ndarray],
-    config: MoeLmConfig,
-    state: LmState,
-    next_token: int,
-) -> tuple[LmState, np.ndarray]:
-    """Feed one token through the cached incremental path.
+def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, src: LmState,
+                  dst: LmState, parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """One decoding step for R rows; returns their (R, V) log-distributions.
 
-    Returns the successor state and the (V,) log-distribution over the token
-    after next_token. The input state is not mutated; states may be branched
-    (kept per beam hypothesis) freely.
+    Row r extends row parents[r] of the KV block src by tokens[r]. Each
+    layer gathers the parents' caches into rows 0..R-1 of dst (another
+    block, with room for src.position + 1 positions) and writes only the
+    new position. A row's result does not depend on the other rows.
     """
-    if state.position >= config.max_seq_len:
+    p = src.position
+    if p >= config.max_seq_len:
         raise ValueError(f"context already at max_seq_len {config.max_seq_len}")
-    if not 0 <= int(next_token) < config.vocab_size:
-        raise ValueError(f"token id {next_token} out of range")
-    h, dh = config.num_heads, config.head_dim
-    d = config.model_dim
-    pe = positional_table(config.max_seq_len, d)
+    parents, tokens = np.asarray(parents), np.asarray(tokens)
+    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
+        raise ValueError(f"token ids {tokens.min()}..{tokens.max()} out of range")
+    r, h, dh = tokens.size, config.num_heads, config.head_dim
+    pe = positional_table(config.max_seq_len, config.model_dim)
 
-    x = params["embed.weight"][int(next_token)] + pe[state.position]
-    new_keys: list[np.ndarray] = []
-    new_values: list[np.ndarray] = []
+    x = params["embed.weight"][tokens] + pe[p]
     for i in range(config.num_layers):
         prefix = f"layer{i:02d}."
         hin = ad.layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
-        q = (hin @ params[prefix + "attn.wq"]).reshape(h, dh)
-        k = (hin @ params[prefix + "attn.wk"]).reshape(h, dh)
-        v = (hin @ params[prefix + "attn.wv"]).reshape(h, dh)
-        keys = np.concatenate([state.keys[i], k[:, None, :]], axis=1)
-        values = np.concatenate([state.values[i], v[:, None, :]], axis=1)
-        new_keys.append(keys)
-        new_values.append(values)
-        scores = np.einsum("hd,hpd->hp", q, keys) / np.sqrt(dh)
-        attn = softmax(scores, axis=-1)
-        ctx = np.einsum("hp,hpd->hd", attn, values).reshape(d)
-        x = x + ctx @ params[prefix + "attn.wo"]
+        q, k, v = (_mm(hin, params[prefix + f"attn.w{n}"]).reshape(r, h, dh) for n in "qkv")
+        keys, values = dst.keys[i][:r, :, :p + 1], dst.values[i][:r, :, :p + 1]
+        # mode="clip" writes straight into out ("raise" copies through a buffer).
+        np.take(src.keys[i][:, :, :p], parents, axis=0, out=keys[:, :, :p], mode="clip")
+        np.take(src.values[i][:, :, :p], parents, axis=0, out=values[:, :, :p], mode="clip")
+        keys[:, :, p] = k
+        values[:, :, p] = v
+        scores = np.einsum("rhd,rhpd->rhp", q, keys) / np.sqrt(dh)
+        ctx = np.einsum("rhp,rhpd->rhd", softmax(scores, axis=-1), values)
+        x = x + _mm(ctx.reshape(r, config.model_dim), params[prefix + "attn.wo"])
 
         h2 = ad.layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
         if config.is_moe_layer(i):
-            gate = gate_topk(h2, params[prefix + "gate.weight"],
-                             config.experts_per_token)
-            out = sum(w * _ffn(h2, _ffn_params(params, f"{prefix}expert{idx:02d}."))
-                      for w, idx in zip(gate.combine_weights, gate.expert_indices))
+            experts = [_ffn_params(params, f"{prefix}expert{e:02d}.")
+                       for e in range(config.num_experts)]
+            out = _mixture(h2, params[prefix + "gate.weight"], experts,
+                           config.experts_per_token, "sparse")[0]
         else:
             out = _ffn(h2, _ffn_params(params, prefix + "ffn."))
         x = x + out
+    dst.position = p + 1
+    return _output_head(x, params, config)
 
-    log_probs = _output_head(x, params, config)
-    new_state = LmState(keys=new_keys, values=new_values, position=state.position + 1)
-    return new_state, log_probs
+
+def lm_score_step(params: Mapping[str, np.ndarray], config: MoeLmConfig, state: LmState,
+                  next_token: int) -> tuple[LmState, np.ndarray]:
+    """lm_score_rows on one row: the successor state and the (V,) row after
+    next_token. The input state is not mutated, so states may branch."""
+    new_state = initial_state(config, rows=1, length=state.position + 1)
+    rows = lm_score_rows(params, config, state, new_state, [0], [next_token])
+    return new_state, rows[0]

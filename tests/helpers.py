@@ -20,11 +20,28 @@ def record_var_inits(monkeypatch) -> list:
     return made
 
 
-class TableLm:
+class LoopRows:
+    """The block half of the scorer protocol over a scorer's start/advance.
+
+    A block is a list of states; advance_rows advances its rows one at a
+    time, so a test scorer stays a few lines of start/advance.
+    """
+
+    def start_rows(self, length: int):
+        state, dist = self.start()
+        return [state], dist
+
+    def advance_rows(self, block, parents, tokens):
+        out = [self.advance(block[p], tok) for p, tok in zip(parents.tolist(), tokens.tolist())]
+        return [state for state, _ in out], np.stack([dist for _, dist in out])
+
+
+class TableLm(LoopRows):
     """Deterministic toy LM: state walks a fixed table of log-distributions.
 
-    Implements the scorer protocol (start/advance) without any model, so
-    fusion logic can be tested independently of LM internals.
+    Implements the scorer protocol (start/advance, and the block calls
+    through LoopRows) without any model, so fusion logic can be tested
+    independently of LM internals.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -81,8 +98,9 @@ class ModelSource:
         return self._ensure(prefix)[1]
 
 
-class CountingLm:
-    """Wraps a scorer and records each start() and the prefix of each advance().
+class CountingLm(LoopRows):
+    """Wraps a scorer and records each start(), each advance_rows() call and
+    the prefix of each advance().
 
     The wrapped state carries its token prefix, so `advanced` lists the
     prefix every LM step was run for, in call order.
@@ -92,7 +110,12 @@ class CountingLm:
         self.inner = inner
         self.vocab_size = inner.vocab_size
         self.starts = 0
+        self.blocks = 0
         self.advanced: list[tuple[int, ...]] = []
+
+    def advance_rows(self, block, parents, tokens):
+        self.blocks += 1
+        return super().advance_rows(block, parents, tokens)
 
     def start(self):
         self.starts += 1
@@ -106,7 +129,7 @@ class CountingLm:
         return (prefix, inner_state), dist
 
 
-class UniformLm:
+class UniformLm(LoopRows):
     """LM that scores every token equally at every step."""
 
     def __init__(self, vocab_size: int):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import moefusion.fusion as fusion_mod
+import moefusion.model as model_mod
 from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main
 from moefusion.fusion import read_decodes, save_lattice
@@ -456,3 +457,42 @@ class TestGenSyntheticCommand:
         assert rc == 0
         assert (tmp_path / "task" / "refs.tsv").exists()
         assert len(list((tmp_path / "task" / "lattices").glob("*.lat"))) == 8
+
+
+def test_decode_reaches_the_traced_lookup_sites(synth_pipeline, lm_dir, tmp_path,
+                                                monkeypatch, capsys):
+    """The traced benchmark wraps fusion.beam_search_fusion,
+    fusion.lm_score_step and model.gate_topk where decode looks them up;
+    each utterance must reach the last two, or the traced metrics have no
+    spans to report."""
+    paths = synth_pipeline["paths"]
+    per_utt: list[dict] = []
+    states = []
+
+    def counting(module, name, after=None):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            if name == "beam_search_fusion":
+                per_utt.append({"lm_score_step": 0, "gate_topk": 0})
+            else:
+                per_utt[-1][name] += 1
+            out = fn(*args, **kwargs)
+            if after is not None:
+                after(out)
+            return out
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(fusion_mod, "beam_search_fusion")
+    counting(fusion_mod, "lm_score_step", after=lambda out: states.append(out[0]))
+    counting(model_mod, "gate_topk")
+    assert main(["decode", "--lattice-dir", str(paths.lattice_dir),
+                 "--vocab", str(paths.vocab), "--lm", str(lm_dir), "--lambda", "0.3",
+                 "--beam", "4", "--output", str(tmp_path / "d.tsv")]) == 0
+    assert len(per_utt) == len(list(paths.lattice_dir.glob("*.lat")))
+    assert all(c["lm_score_step"] >= 1 and c["gate_topk"] >= 1 for c in per_utt)
+    state = states[0]
+    assert state.keys and len(state.keys) == len(state.values)
+    assert all(isinstance(a, np.ndarray) for a in state.keys + state.values)
+    state._bench_prefix = (1,)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import CountingLm, ModelSource, TableLm, UniformLm, random_lattice
+from helpers import CountingLm, LoopRows, ModelSource, TableLm, UniformLm, random_lattice
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
 from moefusion.fusion import (
@@ -58,7 +58,7 @@ class TestScoringRule:
             hyps = beam_search_fusion(
                 src, lm, FusionConfig(lam=0.37, beam_size=6, n_best=6))
             for h in hyps:
-                assert h.finished and h.tokens[-1] == EOS_ID
+                assert h.tokens[-1] == EOS_ID
                 assert abs(h.combined - (h.e2e_logprob + 0.37 * h.lm_logprob)) \
                     <= 1e-9
 
@@ -98,6 +98,15 @@ class TestLatticeSource:
         frames[0] -= logsumexp(frames[0])
         src = LatticeSource(frames)
         assert src.step((), 0)[5] == -1e9
+
+    def test_rows_broadcast_the_floored_row(self):
+        src = LatticeSource(random_lattice(8, 3, seed=5))
+        rows = src.rows([(), (4,), (4, 5)], 1)
+        assert rows.shape == (3, 8) and not rows.flags.writeable
+        assert np.shares_memory(rows, src.frames)
+        assert all(np.array_equal(row, src.step((), 1)) for row in rows)
+        with pytest.raises(ValueError):
+            src.rows([()], 3)
 
 
 class TestBeamBasics:
@@ -237,7 +246,7 @@ class NanSource:
         return row
 
 
-class NanLm:
+class NanLm(LoopRows):
     """Wraps a scorer; its second advance() returns a row holding a NaN."""
 
     def __init__(self, inner):
@@ -428,6 +437,8 @@ class TestLockstepSearch:
             assert shared.starts == 1
             assert len(set(shared.advanced)) == len(shared.advanced)
             assert set(shared.advanced) == set().union(*(lm.advanced for lm in alone))
+            # one LM call per step: each scores the prefixes of one length
+            assert shared.blocks == len({len(p) for p in shared.advanced})
 
     def test_repeated_config_costs_nothing_extra(self):
         src = LatticeSource(random_lattice(10, 6, seed=46))

@@ -10,10 +10,27 @@ from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
     FfnParams, MoeLmConfig, _ffn, _segment_positions, build_forward,
-    gate_topk, init_params, initial_state, lm_forward, lm_score_step,
+    gate_topk, init_params, initial_state, lm_forward, lm_score_rows, lm_score_step,
     moe_layer_forward, param_shapes, positional_table,
 )
 from moefusion.tokenizer import BOS_ID
+
+
+def block_walk(params, config, seqs):
+    """Score equal-length rows of tokens with one lm_score_rows call per step.
+
+    Row r of the block is seqs[r]; returns the final block and the (T, R, V)
+    rows, each step's block written into one of two alternating blocks.
+    """
+    seqs = np.asarray(seqs)
+    r, t = seqs.shape
+    blocks = [initial_state(config, r, t) for _ in range(2)]
+    src, out = initial_state(config, r), []
+    for step in range(t):
+        dst = blocks[step % 2]
+        out.append(lm_score_rows(params, config, src, dst, np.arange(r), seqs[:, step]))
+        src = dst
+    return src, np.stack(out)
 
 
 def make_experts(d, f, n, seed=0):
@@ -140,8 +157,8 @@ class TestMoeLayer:
 
     @pytest.mark.parametrize("e", [2, 4, 16])
     def test_decode_step_mixture_matches_layer(self, e):
-        # lm_score_step mixes one token as gate_topk + _ffn per selected
-        # expert; moe_layer_forward runs the training mixture.
+        # One token routed by gate_topk and mixed by hand with _ffn equals
+        # the mixture that training and the decode step run (_mixture).
         d, f, k = 8, 32, 2
         rng = np.random.default_rng(40 + e)
         experts = make_experts(d, f, e, seed=e)
@@ -267,10 +284,16 @@ class TestScoreStep:
         for t, tok in enumerate(ids):
             state, dist = lm_score_step(params, config, state, tok)
             assert np.abs(dist - rows[t]).max() < 1e-5
+        # The batched step, with ids as row 0 of a block of three.
+        rng = np.random.default_rng(12)
+        decoys = rng.integers(4, config.vocab_size, size=(2, len(ids)))
+        _, block = block_walk(params, config, [ids, *decoys])
+        assert np.abs(block[:, 0] - rows).max() < 1e-5
 
     def test_many_random_prefixes_agree(self, tiny_config):
         params = init_params(tiny_config, 0)
         rng = np.random.default_rng(9)
+        prefixes = []
         for _ in range(1000):
             n = int(rng.integers(1, 8))
             ids = [BOS_ID] + list(rng.integers(4, 32, size=n))
@@ -279,6 +302,17 @@ class TestScoreStep:
             for tok in ids:
                 state, dist = lm_score_step(params, tiny_config, state, tok)
             assert np.abs(dist - rows[-1]).max() < 1e-5
+            prefixes.append((ids, rows[-1]))
+        # The same prefixes through the batched step, 50 to a block; a row
+        # shorter than the block's longest runs on with filler tokens.
+        for start in range(0, len(prefixes), 50):
+            chunk = prefixes[start:start + 50]
+            seqs = np.full((len(chunk), 8), 4)
+            for r, (ids, _) in enumerate(chunk):
+                seqs[r, :len(ids)] = ids
+            _, block = block_walk(params, tiny_config, seqs)
+            for r, (ids, want) in enumerate(chunk):
+                assert np.abs(block[len(ids) - 1, r] - want).max() < 1e-5
 
     def test_state_branching_is_pure(self, tiny_config):
         params = init_params(tiny_config, 0)
@@ -298,6 +332,41 @@ class TestScoreStep:
             state, _ = lm_score_step(params, tiny_config, state, 4)
         with pytest.raises(ValueError, match="max_seq_len"):
             lm_score_step(params, tiny_config, state, 4)
+        full, _ = block_walk(params, tiny_config, np.full((3, tiny_config.max_seq_len), 4))
+        with pytest.raises(ValueError, match="max_seq_len"):
+            lm_score_rows(params, tiny_config, full, initial_state(tiny_config, 3, 17),
+                          np.arange(3), np.full(3, 4))
+
+    # One row, a beam's worth with repeated parents, and more rows than a
+    # beam holds (lockstep configs).
+    @pytest.mark.parametrize("n_rows", [1, 6, 24])
+    def test_block_matches_one_row_steps(self, tiny_config, n_rows):
+        params = init_params(tiny_config, 0)
+        rng = np.random.default_rng(30 + n_rows)
+        seqs = np.concatenate([np.full((4, 1), BOS_ID), rng.integers(4, 32, size=(4, 4))], axis=1)
+        src, _ = block_walk(params, tiny_config, seqs)
+        states = []
+        for seq in seqs:
+            state = initial_state(tiny_config)
+            for tok in seq:
+                state, _ = lm_score_step(params, tiny_config, state, tok)
+            states.append(state)
+        parents = rng.integers(0, 4, size=n_rows)
+        tokens = rng.integers(0, 32, size=n_rows)
+        dst = initial_state(tiny_config, n_rows, 6)
+        got = lm_score_rows(params, tiny_config, src, dst, parents, tokens)
+        assert got.shape == (n_rows, tiny_config.vocab_size) and dst.position == 6
+        for r, (q, tok) in enumerate(zip(parents, tokens)):
+            state, want = lm_score_step(params, tiny_config, states[q], tok)
+            assert np.abs(got[r] - want).max() <= 1e-12
+            for i in range(tiny_config.num_layers):
+                assert np.abs(dst.keys[i][r] - state.keys[i][0]).max() <= 1e-12
+                assert np.abs(dst.values[i][r] - state.values[i][0]).max() <= 1e-12
+        # A row's value does not depend on the rest of its block.
+        sub = rng.permutation(n_rows)[: max(1, n_rows // 3)]
+        again = lm_score_rows(params, tiny_config, src, initial_state(tiny_config, n_rows, 6),
+                              parents[sub], tokens[sub])
+        assert np.array_equal(again, got[sub])
 
 
 class TestPlainArrays:
