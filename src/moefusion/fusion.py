@@ -1,8 +1,8 @@
 """Shallow-fusion beam search over an external posterior source and an LM.
 
 Hypotheses are scored as combined = e2e_logprob + lam * lm_logprob. The
-posterior source is any object with step(prefix, t), optionally with
-rows(prefixes, t) for a step's rows as one block; LatticeSource serves
+posterior source gives the beam a step's rows as one block, rows(prefixes,
+t), and the oracle one row, step(prefix, t); LatticeSource serves
 precomputed, prefix-independent per-step log-distributions. max_len
 counts content tokens; a hypothesis reaching it may only extend with EOS,
 which makes the beam's search space identical to the exhaustive oracle's.
@@ -14,8 +14,8 @@ CheckpointLmScorer), each child named by its parent's LM row * V + token.
 
 A beam keeps its scores in arrays and builds Hypothesis objects only for
 finished decodes. Each input is floored (NaN rejected, values raised to
-LOG_FLOOR) once where it enters the search: a step's source rows and a
-step's LM rows, each as one block (LatticeSource floors at load).
+LOG_FLOOR) once where it enters the search: the source floors its rows
+(LatticeSource at load), the search each step's LM rows as one block.
 
 Ties anywhere resolve toward the lexicographically smaller token sequence,
 so results are deterministic for identical inputs.
@@ -84,14 +84,15 @@ class Hypothesis:
 
 class PosteriorSource(Protocol):
     """step(prefix, t) is the log-distribution of the token at position t
-    after prefix; it need not be floored. A source may also have
-    rows(prefixes, t), the floored (B, V) block of those rows; without it
-    the search stacks the step rows and floors them once."""
+    after prefix, not necessarily floored; rows(prefixes, t) is the (B, V)
+    block of the prefixes' rows, floored (as by _floor)."""
 
     vocab_size: int
     max_steps: int
 
     def step(self, prefix: tuple[int, ...], t: int) -> np.ndarray: ...
+
+    def rows(self, prefixes: Sequence[tuple[int, ...]], t: int) -> np.ndarray: ...
 
 
 def _floor(row: np.ndarray) -> np.ndarray:
@@ -143,10 +144,11 @@ class CheckpointLmScorer:
     The beam scores blocks: start_rows(length) begins a search of at most
     `length` positions (BOS included) and gives BOS's one-row block and row;
     advance_rows(block, parents, tokens) gives the next block, row r
-    extending row parents[r] by tokens[r], and its (R, V) rows. Here start
-    and advance run lm_score_step; advance_rows runs lm_score_rows between
-    two KV blocks that alternate as its destination, each grown only when a
-    step needs more rows than it has.
+    extending row parents[r] by tokens[r], and its (R, V) rows; a block is
+    valid only as the next call's input. Here start and advance run
+    lm_score_step; advance_rows runs lm_score_rows between two KV blocks
+    that alternate as its destination, each grown only when a step needs
+    more rows than it has.
     """
 
     def __init__(self, ckpt: Checkpoint):
@@ -269,8 +271,7 @@ def _beam_step(source, config, beam, t, last, pool):
     the step's LM block."""
     prefixes, scores, lm_rows, lm_dist = beam
     v = source.vocab_size
-    e2e_rows = (source.rows(prefixes, t) if hasattr(source, "rows")
-                else _floor(np.stack([source.step(p, t) for p in prefixes])))
+    e2e_rows = source.rows(prefixes, t)
     totals = scores[:, 2:] + e2e_rows + config.lam * lm_dist
     if last:  # content budget exhausted: EOS is the only legal extension
         totals[:, np.arange(v) != EOS_ID] = -np.inf
@@ -328,10 +329,7 @@ def exhaustive_oracle(
             or combined > best.combined
             or (combined == best.combined and tokens < best.tokens)
         ):
-            best = Hypothesis(
-                tokens=tokens, e2e_logprob=e2e_lp, lm_logprob=lm_lp,
-                combined=combined,
-            )
+            best = Hypothesis(tokens, e2e_lp, lm_lp, combined)
 
     def dfs(prefix, e2e_lp, lm_lp, lm_state, lm_dist, depth):
         row = _floor(source.step(prefix, depth))

@@ -225,12 +225,12 @@ def gate_topk(token_repr, gate_weight, k: int) -> GateOutput:
     if k > e:
         raise ConfigError(f"cannot select top-{k} of {e} experts")
     one = ad.value(token_repr).ndim == 1
-    logits = _mm(token_repr[None] if one else token_repr, gate_weight)
+    logits = (token_repr[None] if one else token_repr) @ gate_weight
     check_finite(ad.value(logits), "gate logits")
     sel = np.argsort(-ad.value(logits), axis=-1, kind="stable")[:, :k]
     weights = ad.softmax(ad.gather_cols(logits, sel), axis=-1)
     if one:
-        return GateOutput(tuple(int(i) for i in sel[0]), weights[0], logits[0])
+        return GateOutput(tuple(sel[0].tolist()), weights[0], logits[0])
     return GateOutput(sel, weights, logits)
 
 
@@ -253,7 +253,7 @@ def moe_layer_forward(
     and mixes with the full gate softmax; it requires k == len(experts) and
     exists as the reduction target the sparse path is tested against.
     """
-    return _mixture(ad.value(x), gate_weight, experts, k, impl)[0]
+    return _mixture(ad.value(x), gate_weight, experts.__getitem__, k, impl)[0]
 
 
 def _segment_positions(segment_ids: np.ndarray) -> np.ndarray:
@@ -295,65 +295,58 @@ def _attention_block(x, p, prefix, bias, config):
     return ad.matmul(ctx, p[prefix + "attn.wo"])
 
 
-def _mm(x, w):
-    """x @ w, running a one-row array product as two equal rows: BLAS rounds
-    one row (gemv) unlike several (gemm), and a row's value must not depend
-    on the rows scored with it (lockstep searches rely on it)."""
-    if isinstance(x, np.ndarray) and isinstance(w, np.ndarray) and x.shape[:-1] == (1,):
-        return (np.repeat(x, 2, axis=0) @ w)[:1]
-    return x @ w
-
-
 def _ffn(x, p: FfnParams):
-    """Two-layer GELU FFN over the last axis; x and p may be Vars or arrays."""
-    return _mm(ad.gelu(_mm(x, p.w1) + p.b1), p.w2) + p.b2
+    """Two-layer GELU FFN over the last axis; x and p may be Vars or arrays.
+    A one-row array runs as two equal rows, as lm_score_rows explains."""
+    if isinstance(x, np.ndarray) and x.shape[:-1] == (1,):
+        return _ffn(np.repeat(x, 2, axis=0), p)[:1]
+    return ad.gelu(x @ p.w1 + p.b1) @ p.w2 + p.b2
 
 
 def _output_head(x, params, config: MoeLmConfig):
     """Final layer norm, output projection (tied or not) and log-softmax."""
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     if config.tied_embeddings:
-        logits = _mm(x, ad.swapaxes(params["embed.weight"], 0, 1))
+        logits = x @ ad.swapaxes(params["embed.weight"], 0, 1)
     else:
-        logits = _mm(x, params["lm_head.weight"])
+        logits = x @ params["lm_head.weight"]
     return ad.log_softmax(logits, axis=-1)
 
 
-def _mixture(flat, gate_weight, experts: Sequence[FfnParams], k: int, impl: str):
-    """Top-k mixture of expert FFNs over (N, d) tokens; returns (out, probs, sel).
+def _mixture(flat, gate_weight, expert, k: int, impl: str):
+    """Top-k mixture of expert FFNs over (N, d) tokens; returns (out, gate).
 
-    probs is the (N, E) gate softmax, sel the (N, k) choice (ties to the lower
-    index). "sparse" runs each expert on its tokens, mixed by the softmax of
+    expert(idx) gives expert idx's FfnParams; gate is gate_topk's routing.
+    "sparse" runs each selected expert on its tokens, mixed by the softmax of
     the selected logits; "dense" runs every expert on every token, mixed by
-    probs, and needs k == E, where the two are the same function.
+    the full gate softmax, and needs k == E, where the two are the same.
     """
     n, d = flat.shape
     if impl not in ("sparse", "dense"):
         raise ValueError(f"unknown impl {impl!r}")
-    if impl == "dense" and k != len(experts):
+    if impl == "dense" and k != gate_weight.shape[1]:
         raise ConfigError("dense mixture requires experts_per_token == num_experts")
     gate = gate_topk(flat, gate_weight, k)
-    probs = ad.softmax(gate.all_gate_logits, axis=-1)
-    sel = gate.expert_indices
 
     if impl == "dense":
-        out = None
-        for idx, expert in enumerate(experts):
+        probs, out = ad.softmax(gate.all_gate_logits, axis=-1), None
+        for idx in range(gate_weight.shape[1]):
             col = ad.gather_cols(probs, np.full((n, 1), idx, dtype=np.int64))
-            term = ad.mul(_ffn(flat, expert), col)
+            term = ad.mul(_ffn(flat, expert(idx)), col)
             out = term if out is None else ad.add(out, term)
-        return out, probs, sel
+        return out, gate
 
-    selw = gate.combine_weights
+    # Group the (token, slot) choices by expert, tokens ascending in a group.
+    order = np.argsort(gate.expert_indices, axis=None, kind="stable")
+    ranked = gate.expert_indices.ravel()[order]
+    edges = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), ranked.size]
     out = np.zeros((n, d))
-    for idx, expert in enumerate(experts):
-        tok, slot = np.nonzero(sel == idx)
-        if tok.size == 0:
-            continue
-        y = _ffn(ad.take_rows(flat, tok), expert)
-        w = ad.reshape(ad.gather_pairs(selw, tok, slot), (tok.size, 1))
+    for a, b in zip(edges, edges[1:]):
+        tok, slot = np.divmod(order[a:b], k)
+        y = _ffn(ad.take_rows(flat, tok), expert(int(ranked[a])))
+        w = ad.reshape(ad.gather_pairs(gate.combine_weights, tok, slot), (tok.size, 1))
         out = ad.scatter_add_rows(out, tok, ad.mul(y, w))
-    return out, probs, sel
+    return out, gate
 
 
 def _moe_block(x, p, prefix, config, moe_impl, live_flat):
@@ -364,9 +357,9 @@ def _moe_block(x, p, prefix, config, moe_impl, live_flat):
     """
     b, t, d = x.shape
     e, k = config.num_experts, config.experts_per_token
-    experts = [_ffn_params(p, f"{prefix}expert{idx:02d}.") for idx in range(e)]
-    out, probs, sel = _mixture(ad.reshape(x, (b * t, d)), p[prefix + "gate.weight"],
-                               experts, k, moe_impl)
+    out, gate = _mixture(ad.reshape(x, (b * t, d)), p[prefix + "gate.weight"],
+                         lambda idx: _ffn_params(p, f"{prefix}expert{idx:02d}."), k, moe_impl)
+    probs, sel = ad.softmax(gate.all_gate_logits, axis=-1), gate.expert_indices
     n_live = int(live_flat.sum())
     counts = np.bincount(sel[live_flat].ravel(), minlength=e)
 
@@ -462,10 +455,13 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, src: Lm
                   dst: LmState, parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """One decoding step for R rows; returns their (R, V) log-distributions.
 
-    Row r extends row parents[r] of the KV block src by tokens[r]. Each
-    layer gathers the parents' caches into rows 0..R-1 of dst (another
-    block, with room for src.position + 1 positions) and writes only the
-    new position. A row's result does not depend on the other rows.
+    Row r extends row parents[r] of the KV block src by tokens[r]. Each layer
+    gathers the parents' caches into rows 0..R-1 of dst (a block apart from
+    src, with room for R rows and src.position + 1 positions) and writes only
+    the new position. BLAS rounds one row (gemv) unlike a block (gemm), so a
+    lone row runs as two equal rows (here, and an expert's in _ffn): a row's
+    value then does not depend, bit for bit, on the other rows, given that
+    gemm rounds a row alike for any row count >= 2 (the lockstep tests check).
     """
     p = src.position
     if p >= config.max_seq_len:
@@ -473,35 +469,40 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, src: Lm
     parents, tokens = np.asarray(parents), np.asarray(tokens)
     if tokens.min() < 0 or tokens.max() >= config.vocab_size:
         raise ValueError(f"token ids {tokens.min()}..{tokens.max()} out of range")
+    if parents.shape != tokens.shape or not 0 <= parents.min() <= parents.max() < len(src.keys[0]):
+        raise ValueError(f"parents {parents.tolist()} are not one source row per token")
+    if any(map(np.may_share_memory, src.keys + src.values, dst.keys + dst.values)):
+        raise ValueError("source and destination KV blocks overlap")
     r, h, dh = tokens.size, config.num_heads, config.head_dim
     pe = positional_table(config.max_seq_len, config.model_dim)
 
-    x = params["embed.weight"][tokens] + pe[p]
+    pad = [0, 0] if r == 1 else slice(None)
+    x = params["embed.weight"][tokens[pad]] + pe[p]
     for i in range(config.num_layers):
         prefix = f"layer{i:02d}."
         hin = ad.layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
-        q, k, v = (_mm(hin, params[prefix + f"attn.w{n}"]).reshape(r, h, dh) for n in "qkv")
+        q, k, v = ((hin @ params[prefix + f"attn.w{n}"])[:r].reshape(r, h, dh) for n in "qkv")
         keys, values = dst.keys[i][:r, :, :p + 1], dst.values[i][:r, :, :p + 1]
-        # mode="clip" writes straight into out ("raise" copies through a buffer).
+        # parents are in range and the blocks apart, so mode="clip" clips
+        # nothing and writes straight into out ("raise" copies via a buffer).
         np.take(src.keys[i][:, :, :p], parents, axis=0, out=keys[:, :, :p], mode="clip")
         np.take(src.values[i][:, :, :p], parents, axis=0, out=values[:, :, :p], mode="clip")
         keys[:, :, p] = k
         values[:, :, p] = v
         scores = np.einsum("rhd,rhpd->rhp", q, keys) / np.sqrt(dh)
         ctx = np.einsum("rhp,rhpd->rhd", softmax(scores, axis=-1), values)
-        x = x + _mm(ctx.reshape(r, config.model_dim), params[prefix + "attn.wo"])
+        x = x + ctx.reshape(r, config.model_dim)[pad] @ params[prefix + "attn.wo"]
 
         h2 = ad.layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
         if config.is_moe_layer(i):
-            experts = [_ffn_params(params, f"{prefix}expert{e:02d}.")
-                       for e in range(config.num_experts)]
-            out = _mixture(h2, params[prefix + "gate.weight"], experts,
+            out = _mixture(h2, params[prefix + "gate.weight"],
+                           lambda e: _ffn_params(params, f"{prefix}expert{e:02d}."),
                            config.experts_per_token, "sparse")[0]
         else:
             out = _ffn(h2, _ffn_params(params, prefix + "ffn."))
         x = x + out
     dst.position = p + 1
-    return _output_head(x, params, config)
+    return _output_head(x, params, config)[:r]
 
 
 def lm_score_step(params: Mapping[str, np.ndarray], config: MoeLmConfig, state: LmState,

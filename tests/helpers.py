@@ -6,7 +6,7 @@ import numpy as np
 
 from moefusion import autodiff as ad
 from moefusion.checkpoint import Checkpoint
-from moefusion.fusion import CheckpointLmScorer
+from moefusion.fusion import CheckpointLmScorer, _floor
 from moefusion.model import LmState
 from moefusion.numerics import log_softmax
 
@@ -36,6 +36,14 @@ class LoopRows:
         return [state for state, _ in out], np.stack([dist for _, dist in out])
 
 
+class StepRows:
+    """rows() of the posterior-source protocol over a source's step(): the
+    prefixes' step rows, stacked and floored as one block."""
+
+    def rows(self, prefixes, t):
+        return _floor(np.stack([self.step(p, t) for p in prefixes]))
+
+
 class TableLm(LoopRows):
     """Deterministic toy LM: state walks a fixed table of log-distributions.
 
@@ -62,7 +70,7 @@ class TableLm(LoopRows):
         return nxt, self.rows[nxt]
 
 
-class ModelSource:
+class ModelSource(StepRows):
     """Posterior backed by an autoregressive checkpoint, queried stepwise.
 
     Rows are memoized per prefix, so repeated queries are pure: the same

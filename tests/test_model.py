@@ -9,7 +9,7 @@ from helpers import record_var_inits
 from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
-    FfnParams, MoeLmConfig, _ffn, _segment_positions, build_forward,
+    FfnParams, LmState, MoeLmConfig, _ffn, _mixture, _segment_positions, build_forward,
     gate_topk, init_params, initial_state, lm_forward, lm_score_rows, lm_score_step,
     moe_layer_forward, param_shapes, positional_table,
 )
@@ -154,6 +154,16 @@ class TestMoeLayer:
         with pytest.raises(ConfigError):
             moe_layer_forward(np.ones((2, 4)), np.ones((4, 2)),
                               make_experts(4, 8, 2), 3)
+
+    def test_mixture_builds_only_the_selected_experts(self):
+        d, f, e, k = 8, 16, 64, 2
+        experts = make_experts(d, f, e, seed=9)
+        rng = np.random.default_rng(10)
+        x, gate = rng.standard_normal((3, d)), rng.standard_normal((d, e))
+        asked = []
+        out, g = _mixture(x, gate, lambda i: asked.append(i) or experts[i], k, "sparse")
+        assert sorted(asked) == sorted(set(g.expert_indices.ravel().tolist()))
+        assert np.array_equal(out, moe_layer_forward(x, gate, experts, k))
 
     @pytest.mark.parametrize("e", [2, 4, 16])
     def test_decode_step_mixture_matches_layer(self, e):
@@ -336,6 +346,23 @@ class TestScoreStep:
         with pytest.raises(ValueError, match="max_seq_len"):
             lm_score_rows(params, tiny_config, full, initial_state(tiny_config, 3, 17),
                           np.arange(3), np.full(3, 4))
+
+    def test_bad_parents_and_overlapping_blocks_raise(self, tiny_config):
+        params = init_params(tiny_config, 0)
+        block = initial_state(tiny_config, 3, 4)
+        lm_score_rows(params, tiny_config, initial_state(tiny_config), block,
+                      np.zeros(3, dtype=np.int64), np.full(3, BOS_ID))
+        before = [a.copy() for a in block.keys + block.values]
+        for parents in ([0, -1, 1], [0, 3, 1], [0, 1]):
+            with pytest.raises(ValueError, match="parents"):
+                lm_score_rows(params, tiny_config, block, initial_state(tiny_config, 3, 4),
+                              np.array(parents), np.full(3, 4))
+        view = LmState(keys=[a[1:] for a in block.keys],
+                       values=[a[1:] for a in block.values], position=1)
+        for dst in (block, view):
+            with pytest.raises(ValueError, match="overlap"):
+                lm_score_rows(params, tiny_config, block, dst, np.arange(2), np.full(2, 4))
+        assert all(np.array_equal(a, b) for a, b in zip(block.keys + block.values, before))
 
     # One row, a beam's worth with repeated parents, and more rows than a
     # beam holds (lockstep configs).
