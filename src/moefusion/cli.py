@@ -176,23 +176,24 @@ def _read_hyps(path: Path, refs: dict[str, tuple[str, str]]) -> dict[str, tuple[
 def _decoded_hyps(rows: list[DecodeRow],
                   refs: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
     """utt_id -> (reference locale, decoded text) for decode rows."""
-    out = {}
-    for row in rows:
-        if row.utt_id not in refs:
-            raise ValueError(f"hypothesis for unknown utterance {row.utt_id!r}")
-        out[row.utt_id] = (refs[row.utt_id][0], row.text)
-    return out
+    _check_ids(refs, [row.utt_id for row in rows])
+    return {row.utt_id: (refs[row.utt_id][0], row.text) for row in rows}
+
+
+def _check_ids(refs: dict[str, tuple[str, str]], utt_ids: list[str]) -> None:
+    """Fail unless utt_ids name exactly refs' utterances; missing ids first."""
+    missing = sorted(set(refs) - set(utt_ids))
+    if missing:
+        raise ValueError(f"hypotheses missing for {len(missing)} utterances, "
+                         f"first: {missing[0]!r}")
+    unknown = [utt for utt in utt_ids if utt not in refs]
+    if unknown:
+        raise ValueError(f"hypothesis for unknown utterance {unknown[0]!r}")
 
 
 def _evaluate(refs: dict[str, tuple[str, str]], hyps: dict[str, tuple[str, str]]):
     """Per-locale WER breakdowns of hyps against refs, both utt_id -> (locale, text)."""
-    missing = sorted(set(refs) - set(hyps))
-    if missing:
-        raise ValueError(f"hypotheses missing for {len(missing)} utterances, "
-                         f"first: {missing[0]!r}")
-    extra = sorted(set(hyps) - set(refs))
-    if extra:
-        raise ValueError(f"hypotheses for unknown utterances, first: {extra[0]!r}")
+    _check_ids(refs, sorted(hyps))
     per_locale: dict[str, list] = {}
     for utt in sorted(refs):
         locale, ref_text = refs[utt]
@@ -258,7 +259,8 @@ def cmd_sweep_lambda(args) -> int:
     lm = load_checkpoint(_require_file(args.lm, "LM checkpoint"))
     configs = [FusionConfig(lam=lam, beam_size=args.beam, max_len=args.max_len)
                for lam in values]
-    decodes = decode_utterances(lattice_dir, lm, configs, vocab)
+    decodes = decode_utterances(lattice_dir, lm, configs, vocab,
+                                check_ids=lambda ids: _check_ids(refs, ids))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["lambda,macro_wer,micro_wer"]

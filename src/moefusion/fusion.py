@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -273,18 +273,13 @@ def _beam_step(source, config, beam, t, last, pool):
     v = source.vocab_size
     e2e_rows = source.rows(prefixes, t)
     totals = scores[:, 2:] + e2e_rows + config.lam * lm_dist
+    # Survivors by partial selection: O(B * V) plus a sort of the ties at
+    # the cut, in the order a full (-score, sequence) sort gives.
     if last:  # content budget exhausted: EOS is the only legal extension
-        totals[:, np.arange(v) != EOS_ID] = -np.inf
-    flat = totals.ravel()
-    finite = np.flatnonzero(np.isfinite(flat))
-    parents, toks = np.divmod(finite, v)
-    # Primary: fused score descending; ties: lexicographically smaller
-    # sequence. The beam is kept lex-sorted, so (parent rank, token)
-    # orders equal-length candidate sequences lexicographically, and so
-    # does the flat index parent * v + token: sorting the selection puts
-    # the children in lex order.
-    order = np.lexsort((toks, parents, -flat[finite]))
-    parents, toks = np.divmod(np.sort(finite[order[: config.beam_size]]), v)
+        parents = _select(totals[:, EOS_ID], config.beam_size)
+        toks = np.full_like(parents, EOS_ID)
+    else:
+        parents, toks = np.divmod(_select(totals.ravel(), config.beam_size), v)
     # Selected totals are finite, so every child score is.
     e2e = scores[parents, 0] + e2e_rows[parents, toks]
     lm = scores[parents, 1] + lm_dist[parents, toks]
@@ -296,6 +291,16 @@ def _beam_step(source, config, beam, t, last, pool):
     parents, toks = parents[~ends], toks[~ends]
     kids = [prefixes[p] + (tok,) for p, tok in zip(parents.tolist(), toks.tolist())]
     return kids, child_scores[~ends], lm_rows[parents] * v + toks
+
+
+def _select(flat, beam_size):
+    """Indices of flat's beam_size best finite scores, ascending; ties go to the
+    smaller index, parent * V + token, which is lex order (the beam is lex-sorted)."""
+    idx = np.flatnonzero(np.isfinite(flat))
+    if idx.size > beam_size:
+        vals = flat[idx]
+        idx = idx[vals >= np.partition(vals, idx.size - beam_size)[idx.size - beam_size]]
+    return np.sort(idx[np.lexsort((idx, -flat[idx]))[:beam_size]])
 
 
 def exhaustive_oracle(
@@ -461,14 +466,16 @@ def decode_utterances(
     lm,
     configs: FusionConfig | Sequence[FusionConfig],
     vocab: Vocab,
+    check_ids: Callable[[list[str]], None] | None = None,
 ):
     """Beam-decode every *.lat file in a directory, sorted by utterance id.
 
     configs is one FusionConfig (returns its rows) or a sequence (returns
     one row list per config). Every lattice is loaded and checked against
-    every config before the first is decoded, so a bad file fails the run
-    before any search work. Each is loaded once more for one beam search
-    over all configs: two loads per lattice per run, one held at a time.
+    every config, then check_ids (if given) is called with the utterance ids,
+    before the first is decoded, so a bad file or id fails the run before any
+    search work. Each is loaded once more for one beam search over all
+    configs: two loads per lattice per run, one held at a time.
     """
     single = isinstance(configs, FusionConfig)
     configs = [configs] if single else list(configs)
@@ -479,6 +486,8 @@ def decode_utterances(
     lm_config = getattr(_wrap_lm(lm), "config", None)
     for p in paths:
         _checked_lattice(p, vocab, configs, lm_config)
+    if check_ids is not None:
+        check_ids([p.stem for p in paths])
     rows: list[list[DecodeRow]] = [[] for _ in configs]
     for p in paths:
         source = _checked_lattice(p, vocab, configs, lm_config)

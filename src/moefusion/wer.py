@@ -130,8 +130,9 @@ def aggregate(
 
     Counts are summed before dividing, so splitting a locale's utterances
     into shards and merging gives identical numbers. With a baseline
-    (locale -> WER) each locale also gets a relative reduction, and locales
-    are tallied as improved/tied/regressed against it.
+    (locale -> WER) each locale also gets a relative reduction (None where
+    the baseline WER is 0), and locales are tallied as improved/tied/regressed
+    against it.
     """
     if not per_locale:
         raise ValueError("aggregate needs at least one locale")
@@ -150,7 +151,7 @@ def aggregate(
             if loc not in baseline:
                 raise ValueError(f"baseline is missing locale {loc!r}")
             entry.baseline_wer = float(baseline[loc])
-            entry.werr = werr(entry.baseline_wer, entry.wer)
+            entry.werr = werr(entry.baseline_wer, entry.wer) if entry.baseline_wer else None
         locales[loc] = entry
 
     macro = float(np.mean([e.wer for e in locales.values()]))

@@ -154,3 +154,11 @@ class UniformLm(LoopRows):
 def random_lattice(vocab_size: int, n_rows: int, seed: int, scale: float = 2.0):
     rng = np.random.default_rng([seed, 0x1A7])
     return log_softmax(rng.standard_normal((n_rows, vocab_size)) * scale, axis=-1)
+
+
+def reference_select(flat, beam_size):
+    """The survivor selection fusion._select replaced: a full lexsort of every
+    finite candidate by (-score, index), the first beam_size kept, ascending."""
+    finite = np.flatnonzero(np.isfinite(flat))
+    order = np.lexsort((finite, -flat[finite]))
+    return np.sort(finite[order[:beam_size]])

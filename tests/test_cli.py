@@ -307,6 +307,27 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "macro avg" in out
 
+    def test_baseline_with_a_perfect_locale(self, tmp_path, capsys):
+        refs, base, hyps = (tmp_path / f"{n}.tsv" for n in ("refs", "base", "hyps"))
+        refs.write_text("u1\tloc-a\ta b c\nu2\tloc-b\td e f\n")
+        base.write_text("u1\tloc-a\ta b c\nu2\tloc-b\td x f\n")
+        hyps.write_text("u1\tloc-a\ta x c\nu2\tloc-b\td e f\n")
+        evaluate = ["evaluate", "--refs", str(refs)]
+        assert main(evaluate + ["--hyps", str(base), "--output-dir", str(tmp_path / "b")]) == 0
+        assert main(evaluate + ["--hyps", str(hyps), "--output-dir", str(tmp_path / "s"),
+                                "--baseline", str(tmp_path / "b" / "report.json")]) == 0
+        rep = report_from_json(tmp_path / "s" / "report.json")
+        assert rep.locales["loc-a"].baseline_wer == 0.0
+        assert rep.locales["loc-a"].werr is None
+        assert rep.locales["loc-b"].werr == 1.0
+        assert (rep.improved, rep.tied, rep.regressed) == (1, 0, 1)
+        csv = (tmp_path / "s" / "report.csv").read_text().splitlines()
+        assert csv[1].startswith("loc-a,") and csv[1].endswith(",0,")
+        assert json.loads((tmp_path / "s" / "report.json").read_text()
+                          )["locales"]["loc-a"]["werr"] is None
+        out = capsys.readouterr().out
+        assert "loc-a: wer 0.3333\n" in out and "improved 1, tied 0, regressed 1" in out
+
     def test_missing_hypotheses_detected(self, synth_pipeline, tmp_path,
                                          capsys):
         paths = synth_pipeline["paths"]
@@ -316,6 +337,22 @@ class TestEvaluateCommand:
                    "--output-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("columns", [3, 5])
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_id_faults_named(self, columns, missing, tmp_path, capsys):
+        refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
+        refs.write_text("u1\tloc-a\ta b\nu2\tloc-a\tc d\n")
+        ids = ["u1", "u0x"] if missing else ["u1", "u2", "u0x"]
+        row = "\tloc-a\ta b\n" if columns == 3 else "\ta b\t-1.0\t-2.0\t-3.0\n"
+        hyps.write_text("".join(u + row for u in ids))
+        assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        # Missing ids are named before unknown ones, in either file format.
+        fault = ("hypotheses missing for 1 utterances, first: 'u2'" if missing
+                 else "hypothesis for unknown utterance 'u0x'")
+        assert capsys.readouterr().err == f"error: ValueError: {fault}\n"
+        assert not (tmp_path / "out").exists()
 
 
 BAD_LATTICES = ["truncated", "nan_row", "wrong_vocab", "zero_rows", "zero_rows_text",
@@ -431,6 +468,34 @@ class TestSweepCommand:
         assert searches == [1, 1]  # one search per utterance for both lambdas
         assert [r.utt_id for r in read_decodes(out / "decodes_lambda0.3.tsv")] == \
             ["a_short", "b_long"]
+
+    @pytest.mark.parametrize("fault", ["lattice_without_ref", "ref_without_lattice"])
+    def test_refs_checked_before_any_search(self, fault, synth_pipeline, lm_dir, tmp_path,
+                                            capsys, monkeypatch):
+        paths = synth_pipeline["paths"]
+        lat_dir = tmp_path / "lats"
+        lat_dir.mkdir()
+        keep = sorted(paths.lattice_dir.glob("*.lat"))[:3]
+        for p in keep:
+            (lat_dir / p.name).write_bytes(p.read_bytes())
+        ids = [p.stem for p in keep]
+        lines = {ln.split("\t")[0]: ln for ln in paths.refs.read_text().splitlines()}
+        listed = ids[:2] if fault == "lattice_without_ref" else ids + ["zz-no-lattice"]
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("".join(lines.get(u, f"{u}\tloc-a\tsome words") + "\n"
+                                for u in listed))
+        searches = spy_searches(monkeypatch)
+        out = tmp_path / "sweep"
+        assert self.sweep(lat_dir, paths.vocab, lm_dir, refs, out,
+                          "--values", "0,0.3", "--beam", "2") == 2
+        err = capsys.readouterr().err
+        if fault == "lattice_without_ref":
+            assert f"hypothesis for unknown utterance {ids[2]!r}" in err
+        else:
+            assert "hypotheses missing for 1 utterances, first: 'zz-no-lattice'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert searches == []
 
     def test_sweep_writes_csv(self, synth_pipeline, lm_dir, tmp_path,
                               capsys):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import moefusion.fusion as fusion_mod
 from helpers import (
     CountingLm, LoopRows, ModelSource, StepRows, TableLm, UniformLm, random_lattice,
+    reference_select,
 )
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
@@ -464,6 +466,88 @@ class TestLockstepSearch:
         configs = [FusionConfig(lam=lam, beam_size=4) for lam in (0.0, 0.5, 2.0)]
         together = decode_utterances(tmp_path, lm, configs, vocab)
         assert together == [decode_utterances(tmp_path, lm, c, vocab) for c in configs]
+
+
+def random_block(rng, kind):
+    """A (B, V) block of fused scores of one kind, and B and V."""
+    b, v = int(rng.integers(1, 11)), int(rng.integers(4, 31))
+    x = rng.standard_normal((b, v)) * 3 - 20
+    if kind == "quantised":  # few distinct values: many exact ties at the cut
+        x = np.round(x / 4)
+    elif kind == "equal":
+        x = np.full((b, v), -7.5)
+    elif kind == "nonfinite":
+        x[rng.random((b, v)) < 0.3] = -np.inf
+        x[rng.random((b, v)) < 0.05] = np.inf
+        x[rng.random((b, v)) < 0.05] = np.nan
+    elif kind == "sparse":  # fewer finite candidates than most beams
+        x[rng.random((b, v)) < 0.95] = -np.inf
+    return x, b, v
+
+
+class TestSelect:
+    """_select keeps the survivors, and their order, of a full lexsort."""
+
+    @pytest.mark.parametrize("seed,kind", enumerate(["continuous", "quantised", "equal",
+                                                     "nonfinite", "sparse"]))
+    def test_matches_full_lexsort_on_random_blocks(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            x, b, v = random_block(rng, kind)
+            # beam_size from 1 to past B * V
+            for beam in {1, int(rng.integers(1, b * v + 4)), b * v, b * v + 3}:
+                got = fusion_mod._select(x.ravel(), beam)
+                want = reference_select(x.ravel(), beam)
+                np.testing.assert_array_equal(got, want)
+
+    def test_ties_at_the_cut_keep_the_smaller_indices(self):
+        flat = np.array([-1.0, -2.0, -2.0, -3.0, -2.0, -2.0, -1.0])
+        np.testing.assert_array_equal(fusion_mod._select(flat, 4), [0, 1, 2, 6])
+        assert fusion_mod._select(np.full(5, -np.inf), 3).size == 0
+
+    def test_eos_column_matches_masked_full_block(self):
+        # The last step reads the EOS column alone; it must pick what a
+        # selection over the whole block with every other column at -inf picks.
+        rng = np.random.default_rng(7)
+        for kind in ("continuous", "quantised", "equal", "nonfinite") * 50:
+            x, b, v = random_block(rng, kind)
+            beam = int(rng.integers(1, b + 3))
+            masked = x.copy()
+            masked[:, np.arange(v) != EOS_ID] = -np.inf
+            got = fusion_mod._select(x[:, EOS_ID], beam) * v + EOS_ID
+            np.testing.assert_array_equal(got, reference_select(masked.ravel(), beam))
+
+    @pytest.mark.parametrize("seed,case", enumerate(["uniform", "quantised", "random"]))
+    def test_searches_match_full_lexsort(self, seed, case, monkeypatch):
+        rng = np.random.default_rng(seed)
+        runs = []
+        for i in range(20):
+            v, t = int(rng.integers(5, 12)), int(rng.integers(2, 7))
+            if case == "uniform":  # every candidate of a step ties
+                src, lm = LatticeSource(np.full((t, v), -np.log(v))), UniformLm(v)
+            else:
+                lat = random_lattice(v, t, i + 1100)
+                if case == "quantised":
+                    lat = np.log(np.round(np.exp(lat) * 4) + 1)
+                    lat -= np.log(np.exp(lat).sum(axis=1, keepdims=True))
+                src, lm = LatticeSource(lat), TableLm.random(v, 5, seed=i)
+            runs.append((src, lm, sweep_configs(rng, lam_pool=(0.0, 0.5, 1.0))))
+        fast = [beam_search_fusion(*run) for run in runs]
+        monkeypatch.setattr(fusion_mod, "_select", reference_select)
+        assert fast == [beam_search_fusion(*run) for run in runs]
+
+    def test_lexsort_sees_only_the_candidates_at_the_cut(self, monkeypatch):
+        # At the benchmark's shape (beam 8, V = 221) with continuous scores
+        # no two candidates tie, so each step sorts exactly the survivors:
+        # a full sort of the B * V block must not come back.
+        sizes = []
+        real = np.lexsort
+        monkeypatch.setattr(fusion_mod.np, "lexsort",
+                            lambda keys: sizes.append(len(keys[0])) or real(keys))
+        src = LatticeSource(random_lattice(221, 12, seed=1200))
+        beam_search_fusion(src, TableLm.random(221, 9, seed=1200),
+                           [FusionConfig(lam=lam, beam_size=8) for lam in (0.0, 0.6)])
+        assert len(sizes) >= 20 and max(sizes) == 8
 
 
 class TestLatticeFiles:

@@ -128,6 +128,19 @@ class TestAggregate:
         assert rep.locales["loc-b"].werr == pytest.approx(werr(0.4, 0.3))
         assert rep.baseline_name == "no-lm"
 
+    def test_zero_baseline_locale_has_no_werr(self, tmp_path):
+        rep = aggregate(self.breakdowns(), baseline={"loc-a": 0.0, "loc-b": 0.4})
+        assert rep.locales["loc-a"].baseline_wer == 0.0
+        assert rep.locales["loc-a"].werr is None
+        assert rep.locales["loc-b"].werr == pytest.approx(werr(0.4, 0.3))
+        assert (rep.improved, rep.tied, rep.regressed) == (1, 0, 1)
+        perfect = aggregate({"loc-a": [WerBreakdown(0, 0, 0, 10)]}, baseline={"loc-a": 0.0})
+        assert perfect.locales["loc-a"].werr is None and perfect.tied == 1
+        emit_report(rep, tmp_path / "r.csv", "csv")
+        emit_report(rep, tmp_path / "r.json", "json")
+        assert "loc-a,0.10000000000000001,0," in (tmp_path / "r.csv").read_text()
+        assert report_from_json(tmp_path / "r.json").locales["loc-a"].werr is None
+
     def test_missing_baseline_locale(self):
         with pytest.raises(ValueError, match="loc-b"):
             aggregate(self.breakdowns(), baseline={"loc-a": 0.1})
