@@ -228,13 +228,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# flops flag (argparse dest) -> MoeLmConfig field; the field's default is the flag's.
+_FLOPS_FLAGS = {
+    "layers": "num_layers", "dim": "model_dim", "heads": "num_heads", "head_dim": "head_dim",
+    "ffn_mult": "ffn_multiplier", "experts": "num_experts",
+    "experts_per_token": "experts_per_token", "vocab_size": "vocab_size",
+    "max_seq_len": "max_seq_len",
+}
+
+
 def cmd_flops(args) -> int:
-    config = MoeLmConfig(
-        num_layers=args.layers, model_dim=args.dim, num_heads=args.heads,
-        head_dim=args.head_dim, ffn_multiplier=args.ffn_mult,
-        num_experts=args.experts, experts_per_token=args.experts_per_token,
-        vocab_size=args.vocab_size, max_seq_len=args.max_seq_len,
-    )
+    config = MoeLmConfig(**{field: getattr(args, dest) for dest, field in _FLOPS_FLAGS.items()})
     report = count_params_flops(config, context_len=args.context_len)
     for line in report.lines():
         print(line)
@@ -346,15 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("flops", help="closed-form parameter and FLOP report")
-    p.add_argument("--layers", type=int, default=12)
-    p.add_argument("--dim", type=int, default=768)
-    p.add_argument("--heads", type=int, default=12)
-    p.add_argument("--head-dim", type=int, default=64)
-    p.add_argument("--ffn-mult", type=int, default=4)
-    p.add_argument("--experts", type=int, default=64)
-    p.add_argument("--experts-per-token", type=int, default=2)
-    p.add_argument("--vocab-size", type=int, default=16384)
-    p.add_argument("--max-seq-len", type=int, default=1024)
+    full_scale = MoeLmConfig()
+    for dest, field in _FLOPS_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=int, default=getattr(full_scale, field))
     p.add_argument("--context-len", type=int, default=None)
     p.set_defaults(func=cmd_flops)
 

@@ -1,8 +1,8 @@
 """Shallow-fusion beam search over an external posterior source and an LM.
 
 Hypotheses are scored as combined = e2e_logprob + lam * lm_logprob. The
-posterior source gives the beam a step's rows as one block, rows(prefixes,
-t), and the oracle one row, step(prefix, t); LatticeSource serves
+posterior source gives a step's rows as one block, rows(prefixes, t), to
+the beam and (one prefix at a time) to the oracle; LatticeSource serves
 precomputed, prefix-independent per-step log-distributions. max_len
 counts content tokens; a hypothesis reaching it may only extend with EOS,
 which makes the beam's search space identical to the exhaustive oracle's.
@@ -83,14 +83,12 @@ class Hypothesis:
 
 
 class PosteriorSource(Protocol):
-    """step(prefix, t) is the log-distribution of the token at position t
-    after prefix, not necessarily floored; rows(prefixes, t) is the (B, V)
-    block of the prefixes' rows, floored (as by _floor)."""
+    """rows(prefixes, t) is the (B, V) block whose row b is the
+    log-distribution of the token at position t after prefixes[b], floored
+    (as by _floor)."""
 
     vocab_size: int
     max_steps: int
-
-    def step(self, prefix: tuple[int, ...], t: int) -> np.ndarray: ...
 
     def rows(self, prefixes: Sequence[tuple[int, ...]], t: int) -> np.ndarray: ...
 
@@ -126,14 +124,11 @@ class LatticeSource:
         self.vocab_size = int(frames.shape[1])
         self.max_steps = int(frames.shape[0])
 
-    def step(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
-        if not 0 <= t < self.max_steps:
-            raise ValueError(f"lattice has {self.max_steps} rows, asked for {t}")
-        return self.frames[t]
-
     def rows(self, prefixes: Sequence[tuple[int, ...]], t: int) -> np.ndarray:
         """Row t for every prefix, as one read-only (B, V) broadcast view."""
-        return np.broadcast_to(self.step((), t), (len(prefixes), self.vocab_size))
+        if not 0 <= t < self.max_steps:
+            raise ValueError(f"lattice has {self.max_steps} rows, asked for {t}")
+        return np.broadcast_to(self.frames[t], (len(prefixes), self.vocab_size))
 
 
 class CheckpointLmScorer:
@@ -337,7 +332,7 @@ def exhaustive_oracle(
             best = Hypothesis(tokens, e2e_lp, lm_lp, combined)
 
     def dfs(prefix, e2e_lp, lm_lp, lm_state, lm_dist, depth):
-        row = _floor(source.step(prefix, depth))
+        row = source.rows([prefix], depth)[0]
         lm_row = _floor(lm_dist) if lm_scorer is not None else None
         lm_eos = float(lm_row[EOS_ID]) if lm_row is not None else 0.0
         consider(prefix + (EOS_ID,), e2e_lp + float(row[EOS_ID]), lm_lp + lm_eos)

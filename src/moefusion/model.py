@@ -5,16 +5,20 @@ use a single dense FFN, odd layers route each token to the top-k of E expert
 FFNs. Attention is pre-norm multi-head with sinusoidal positions and a causal
 mask; embeddings are tied to the output projection by default.
 
-Two execution paths share the same parameters:
-  * build_forward: batched differentiable graph (training and full scoring),
-  * lm_score_rows: one decoding step for a block of R rows over per-layer
-    KV blocks; lm_score_step is its one-row call.
-The two agree to within 1e-5 per log-probability; tests enforce this. Both
-run the same layer library: ad.layer_norm, _ffn (over ad.gelu), the one
-mixture routine _mixture with its router gate_topk, and _output_head. On
+One layer stack, _layers, runs training and decoding over flat (N, d) token
+rows, and its attention is one kernel, _attention; the callers differ only
+in how attention finds its keys and values:
+  * build_forward: the batched differentiable graph (training and full
+    scoring) attends within each row of a (B, T) batch under a causal,
+    segment-isolating mask,
+  * lm_score_rows: one decoding step for a block of R rows attends over
+    per-layer KV blocks, caching each row's new key and value;
+    lm_score_step is its one-row call.
+The two agree to within 1e-5 per log-probability; tests enforce this. On
 plain arrays an autodiff op records no graph and returns an ndarray, so the
-decode step runs them at numpy speed. _mixture's dense variant is the
-sparse reference.
+decode step runs the same layers (ad.layer_norm, _ffn, the mixture
+_mixture with its router gate_topk, _output_head) at numpy speed.
+_mixture's dense variant is the sparse reference.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .numerics import check_finite, softmax
+from .numerics import check_finite
 from .tokenizer import BOS_ID
 
 __all__ = [
@@ -279,20 +283,11 @@ def _attention_bias(segment_ids: np.ndarray) -> np.ndarray:
     return bias[:, None, :, :]
 
 
-def _attention_block(x, p, prefix, bias, config):
-    b, t, d = x.shape
-    h, dh = config.num_heads, config.head_dim
-
-    def heads(v):
-        return ad.swapaxes(ad.reshape(v, (b, t, h, dh)), 1, 2)
-
-    q = heads(ad.matmul(x, p[prefix + "attn.wq"]))
-    k = heads(ad.matmul(x, p[prefix + "attn.wk"]))
-    v = heads(ad.matmul(x, p[prefix + "attn.wv"]))
-    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
-    attn = ad.softmax(ad.add(scores, bias), axis=-1)
-    ctx = ad.reshape(ad.swapaxes(ad.matmul(attn, v), 1, 2), (b, t, d))
-    return ad.matmul(ctx, p[prefix + "attn.wo"])
+def _attention(q, k, v, bias):
+    """softmax(q k^T / sqrt(dh) + bias) v over (B, H, Tq, dh) queries and
+    (B, H, Tk, dh) keys and values; Vars or arrays."""
+    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(q.shape[-1]))
+    return ad.matmul(ad.softmax(ad.add(scores, bias), axis=-1), v)
 
 
 def _ffn(x, p: FfnParams):
@@ -349,29 +344,30 @@ def _mixture(flat, gate_weight, expert, k: int, impl: str):
     return out, gate
 
 
-def _moe_block(x, p, prefix, config, moe_impl, live_flat):
-    """Expert-routed FFN over flattened tokens; returns (out, aux, counts).
+def _layers(x, params, config: MoeLmConfig, attend, moe_impl: str):
+    """The decoder stack over (N, d) token rows; returns (rows, MoE gates).
 
-    Routing statistics (counts, load, importance) cover live tokens only, so
-    padding content can never influence the balance penalty.
+    Each layer is pre-norm attention and a residual, then a pre-norm FFN (a
+    dense one on even layers, _mixture on odd ones) and a residual.
+    attend(i, q, k, v) turns layer i's (N, d) query, key and value rows into
+    their (N, d) attention context; gates holds each MoE layer's GateOutput.
     """
-    b, t, d = x.shape
-    e, k = config.num_experts, config.experts_per_token
-    out, gate = _mixture(ad.reshape(x, (b * t, d)), p[prefix + "gate.weight"],
-                         lambda idx: _ffn_params(p, f"{prefix}expert{idx:02d}."), k, moe_impl)
-    probs, sel = ad.softmax(gate.all_gate_logits, axis=-1), gate.expert_indices
-    n_live = int(live_flat.sum())
-    counts = np.bincount(sel[live_flat].ravel(), minlength=e)
-
-    # Load-balance term: (E/k) * sum_e assignment_fraction_e * mean_prob_e,
-    # exactly 1.0 under perfectly uniform routing.
-    denom = max(n_live, 1)
-    load = counts.astype(np.float64) / denom
-    masked = ad.mul(probs, live_flat.astype(np.float64)[:, None])
-    importance = ad.scale(ad.sum_(masked, axis=0), 1.0 / denom)
-    aux = ad.scale(ad.sum_(ad.mul(importance, load)), e / k)
-
-    return ad.reshape(out, (b, t, d)), aux, counts
+    gates = []
+    for i in range(config.num_layers):
+        prefix = f"layer{i:02d}."
+        h = ad.layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
+        q, k, v = (h @ params[prefix + f"attn.w{n}"] for n in "qkv")
+        x = x + attend(i, q, k, v) @ params[prefix + "attn.wo"]
+        h = ad.layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
+        if config.is_moe_layer(i):
+            out, gate = _mixture(h, params[prefix + "gate.weight"],
+                                 lambda e: _ffn_params(params, f"{prefix}expert{e:02d}."),
+                                 config.experts_per_token, moe_impl)
+            gates.append(gate)
+        else:
+            out = _ffn(h, _ffn_params(params, prefix + "ffn."))
+        x = x + out
+    return x, gates
 
 
 def build_forward(
@@ -400,34 +396,34 @@ def build_forward(
         segment_ids = np.ones((b, t), dtype=np.int64)
     pos = _segment_positions(segment_ids)
     bias = _attention_bias(segment_ids)
-    live_flat = (segment_ids > 0).ravel()
-    pe = positional_table(config.max_seq_len, config.model_dim)
+    d, h, dh = config.model_dim, config.num_heads, config.head_dim
 
-    x = ad.take_rows(params["embed.weight"], token_ids) + pe[pos]
+    def attend(i, q, k, v):
+        heads = (ad.swapaxes(ad.reshape(a, (b, t, h, dh)), 1, 2) for a in (q, k, v))
+        return ad.reshape(ad.swapaxes(_attention(*heads, bias), 1, 2), (b * t, d))
 
-    aux_terms = []
-    counts_per_layer: list[np.ndarray] = []
-    for i in range(config.num_layers):
-        prefix = f"layer{i:02d}."
-        h1 = ad.layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
-        x = x + _attention_block(h1, params, prefix, bias, config)
-        h2 = ad.layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
-        if config.is_moe_layer(i):
-            out, aux, counts = _moe_block(h2, params, prefix, config,
-                                          moe_impl, live_flat)
-            aux_terms.append(aux)
-            counts_per_layer.append(counts)
-        else:
-            out = _ffn(h2, _ffn_params(params, prefix + "ffn."))
-        x = x + out
+    pe = positional_table(config.max_seq_len, d)
+    x = ad.take_rows(params["embed.weight"], token_ids.ravel()) + pe[pos.ravel()]
+    x, gates = _layers(x, params, config, attend, moe_impl)
+    log_probs = ad.reshape(_output_head(x, params, config), (b, t, config.vocab_size))
 
-    log_probs = _output_head(x, params, config)
-
+    # Routing statistics cover live tokens only, so padding content can
+    # never influence the balance penalty.
+    live = (segment_ids > 0).ravel()
+    e, k, denom = config.num_experts, config.experts_per_token, max(int(live.sum()), 1)
+    counts = [np.bincount(g.expert_indices[live].ravel(), minlength=e) for g in gates]
     aux_loss = None
-    if want_aux and aux_terms:
-        aux_loss = ad.scale(sum(aux_terms[1:], aux_terms[0]), 1.0 / len(aux_terms))
-    return ForwardResult(log_probs=log_probs, aux_loss=aux_loss,
-                         expert_counts=counts_per_layer)
+    if want_aux and gates:
+        # Per layer (E/k) * sum_e assignment_fraction_e * mean_prob_e,
+        # exactly 1.0 under perfectly uniform routing.
+        terms = []
+        for gate, count in zip(gates, counts):
+            probs = ad.softmax(gate.all_gate_logits, axis=-1)
+            masked = ad.mul(probs, live[:, None].astype(np.float64))
+            importance = ad.scale(ad.sum_(masked, axis=0), 1.0 / denom)
+            terms.append(ad.scale(ad.sum_(ad.mul(importance, count / denom)), e / k))
+        aux_loss = ad.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+    return ForwardResult(log_probs=log_probs, aux_loss=aux_loss, expert_counts=counts)
 
 
 def lm_forward(
@@ -455,13 +451,15 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, src: Lm
                   dst: LmState, parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """One decoding step for R rows; returns their (R, V) log-distributions.
 
-    Row r extends row parents[r] of the KV block src by tokens[r]. Each layer
-    gathers the parents' caches into rows 0..R-1 of dst (a block apart from
-    src, with room for R rows and src.position + 1 positions) and writes only
-    the new position. BLAS rounds one row (gemv) unlike a block (gemm), so a
-    lone row runs as two equal rows (here, and an expert's in _ffn): a row's
-    value then does not depend, bit for bit, on the other rows, given that
-    gemm rounds a row alike for any row count >= 2 (the lockstep tests check).
+    The decoder stack of build_forward with its attention reading a KV block:
+    row r extends row parents[r] of the block src by tokens[r]. Each layer
+    gathers the parents' cached keys and values into rows 0..R-1 of dst (a
+    block apart from src, with room for R rows and src.position + 1
+    positions), writes the new position's and attends over them. BLAS rounds
+    one row (gemv) unlike a block (gemm), so a lone row runs as two equal
+    rows (here, and an expert's in _ffn): a row's value then does not depend,
+    bit for bit, on the other rows, given that gemm rounds a row alike for
+    any row count >= 2 (the lockstep tests check).
     """
     p = src.position
     if p >= config.max_seq_len:
@@ -474,33 +472,21 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, src: Lm
     if any(map(np.may_share_memory, src.keys + src.values, dst.keys + dst.values)):
         raise ValueError("source and destination KV blocks overlap")
     r, h, dh = tokens.size, config.num_heads, config.head_dim
-    pe = positional_table(config.max_seq_len, config.model_dim)
-
     pad = [0, 0] if r == 1 else slice(None)
-    x = params["embed.weight"][tokens[pad]] + pe[p]
-    for i in range(config.num_layers):
-        prefix = f"layer{i:02d}."
-        hin = ad.layer_norm(x, params[prefix + "ln1.gain"], params[prefix + "ln1.bias"])
-        q, k, v = ((hin @ params[prefix + f"attn.w{n}"])[:r].reshape(r, h, dh) for n in "qkv")
+
+    def attend(i, q, k, v):
         keys, values = dst.keys[i][:r, :, :p + 1], dst.values[i][:r, :, :p + 1]
         # parents are in range and the blocks apart, so mode="clip" clips
         # nothing and writes straight into out ("raise" copies via a buffer).
         np.take(src.keys[i][:, :, :p], parents, axis=0, out=keys[:, :, :p], mode="clip")
         np.take(src.values[i][:, :, :p], parents, axis=0, out=values[:, :, :p], mode="clip")
-        keys[:, :, p] = k
-        values[:, :, p] = v
-        scores = np.einsum("rhd,rhpd->rhp", q, keys) / np.sqrt(dh)
-        ctx = np.einsum("rhp,rhpd->rhd", softmax(scores, axis=-1), values)
-        x = x + ctx.reshape(r, config.model_dim)[pad] @ params[prefix + "attn.wo"]
+        keys[:, :, p] = k[:r].reshape(r, h, dh)
+        values[:, :, p] = v[:r].reshape(r, h, dh)
+        ctx = _attention(q[:r].reshape(r, h, 1, dh), keys, values, 0.0)
+        return ctx.reshape(r, config.model_dim)[pad]
 
-        h2 = ad.layer_norm(x, params[prefix + "ln2.gain"], params[prefix + "ln2.bias"])
-        if config.is_moe_layer(i):
-            out = _mixture(h2, params[prefix + "gate.weight"],
-                           lambda e: _ffn_params(params, f"{prefix}expert{e:02d}."),
-                           config.experts_per_token, "sparse")[0]
-        else:
-            out = _ffn(h2, _ffn_params(params, prefix + "ffn."))
-        x = x + out
+    pe = positional_table(config.max_seq_len, config.model_dim)
+    x, _ = _layers(params["embed.weight"][tokens[pad]] + pe[p], params, config, attend, "sparse")
     dst.position = p + 1
     return _output_head(x, params, config)[:r]
 

@@ -36,14 +36,6 @@ class LoopRows:
         return [state for state, _ in out], np.stack([dist for _, dist in out])
 
 
-class StepRows:
-    """rows() of the posterior-source protocol over a source's step(): the
-    prefixes' step rows, stacked and floored as one block."""
-
-    def rows(self, prefixes, t):
-        return _floor(np.stack([self.step(p, t) for p in prefixes]))
-
-
 class TableLm(LoopRows):
     """Deterministic toy LM: state walks a fixed table of log-distributions.
 
@@ -70,7 +62,7 @@ class TableLm(LoopRows):
         return nxt, self.rows[nxt]
 
 
-class ModelSource(StepRows):
+class ModelSource:
     """Posterior backed by an autoregressive checkpoint, queried stepwise.
 
     Rows are memoized per prefix, so repeated queries are pure: the same
@@ -95,15 +87,19 @@ class ModelSource(StepRows):
         self._memo[prefix] = entry
         return entry
 
-    def step(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
-        prefix = tuple(int(x) for x in prefix)
-        if t != len(prefix):
-            raise ValueError(
-                f"model source row {t} requested for a {len(prefix)}-token prefix"
-            )
-        if t >= self.max_steps:
-            raise ValueError(f"model context exhausted at step {t}")
-        return self._ensure(prefix)[1]
+    def rows(self, prefixes, t: int) -> np.ndarray:
+        """The prefixes' rows at step t, stacked and floored as one block."""
+        out = []
+        for prefix in prefixes:
+            prefix = tuple(int(x) for x in prefix)
+            if t != len(prefix):
+                raise ValueError(
+                    f"model source row {t} requested for a {len(prefix)}-token prefix"
+                )
+            if t >= self.max_steps:
+                raise ValueError(f"model context exhausted at step {t}")
+            out.append(self._ensure(prefix)[1])
+        return _floor(np.stack(out))
 
 
 class CountingLm(LoopRows):

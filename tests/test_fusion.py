@@ -5,14 +5,14 @@ import pytest
 
 import moefusion.fusion as fusion_mod
 from helpers import (
-    CountingLm, LoopRows, ModelSource, StepRows, TableLm, UniformLm, random_lattice,
+    CountingLm, LoopRows, ModelSource, TableLm, UniformLm, random_lattice,
     reference_select,
 )
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
 from moefusion.fusion import (
     DecodeRow, FusionConfig, LatticeSource, CheckpointLmScorer,
-    beam_search_fusion, decode_utterances, exhaustive_oracle, fuse,
+    _floor, beam_search_fusion, decode_utterances, exhaustive_oracle, fuse,
     load_lattice, read_decodes, save_lattice, write_decodes,
 )
 from moefusion.model import MoeLmConfig, initial_state, lm_forward
@@ -91,9 +91,9 @@ class TestLatticeSource:
     def test_row_index_bounds(self):
         src = LatticeSource(random_lattice(8, 3, seed=3))
         with pytest.raises(ValueError):
-            src.step((), 3)
+            src.rows([()], 3)
         with pytest.raises(ValueError):
-            src.step((), -1)
+            src.rows([()], -1)
 
     def test_floor_applied(self):
         from moefusion.numerics import logsumexp
@@ -101,14 +101,14 @@ class TestLatticeSource:
         frames[0, 5] = -1e12  # deep but legal once floored
         frames[0] -= logsumexp(frames[0])
         src = LatticeSource(frames)
-        assert src.step((), 0)[5] == -1e9
+        assert src.rows([()], 0)[0, 5] == -1e9
 
     def test_rows_broadcast_the_floored_row(self):
         src = LatticeSource(random_lattice(8, 3, seed=5))
         rows = src.rows([(), (4,), (4, 5)], 1)
         assert rows.shape == (3, 8) and not rows.flags.writeable
         assert np.shares_memory(rows, src.frames)
-        assert all(np.array_equal(row, src.step((), 1)) for row in rows)
+        assert all(np.array_equal(row, src.rows([()], 1)[0]) for row in rows)
         with pytest.raises(ValueError):
             src.rows([()], 3)
 
@@ -234,8 +234,8 @@ class TestOracleAgreement:
             exhaustive_oracle(src, None, 0.0, max_len=6)
 
 
-class NanSource(StepRows):
-    """Prefix-dependent source over a lattice; its row at step `at` holds a NaN."""
+class NanSource:
+    """Prefix-dependent source over a lattice; its rows at step `at` hold a NaN."""
 
     def __init__(self, frames, at):
         self.frames = np.asarray(frames)
@@ -243,11 +243,11 @@ class NanSource(StepRows):
         self.max_steps = self.frames.shape[0]
         self.at = at
 
-    def step(self, prefix, t):
-        row = np.roll(self.frames[t], sum(prefix))
+    def rows(self, prefixes, t):
+        block = np.stack([np.roll(self.frames[t], sum(p)) for p in prefixes])
         if t == self.at:
-            row[EOS_ID] = np.nan
-        return row
+            block[:, EOS_ID] = np.nan
+        return _floor(block)
 
 
 class NanLm(LoopRows):
@@ -320,21 +320,21 @@ def trained():
 class TestModelSource:
     def test_rows_are_pure(self, trained):
         src = ModelSource(trained)
-        a = src.step((4, 5), 2).copy()
-        src.step((4, 6), 2)
-        b = src.step((4, 5), 2)
+        a = src.rows([(4, 5)], 2)[0].copy()
+        src.rows([(4, 6)], 2)
+        b = src.rows([(4, 5)], 2)[0]
         assert np.array_equal(a, b)
 
     def test_wrong_time_index_rejected(self, trained):
         src = ModelSource(trained)
         with pytest.raises(ValueError, match="prefix"):
-            src.step((4, 5), 1)
+            src.rows([(4, 5)], 1)
 
     def test_context_exhaustion(self, trained):
         src = ModelSource(trained)
         prefix = tuple([4] * src.max_steps)
         with pytest.raises(ValueError, match="exhausted"):
-            src.step(prefix, len(prefix))
+            src.rows([prefix], len(prefix))
 
     def test_beam_matches_oracle_on_model_source(self, trained):
         for lam in (0.0, 0.4):

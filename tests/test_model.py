@@ -237,6 +237,26 @@ class TestForward:
         assert np.allclose(out.log_probs[0, :4], out.log_probs[0, 4:], atol=1e-12)
 
 
+    def test_balance_bookkeeping_counts_live_tokens_only(self, tiny_config):
+        config = replace(tiny_config, num_layers=4)
+        params = init_params(config, 0)
+        rng = np.random.default_rng(17)
+        tokens = rng.integers(4, 32, size=(2, 8))
+        tokens[:, 0] = BOS_ID
+        segs = np.array([[1, 1, 1, 1, 1, 2, 2, 2], [1, 1, 1, 1, 1, 1, 0, 0]])
+        out = build_forward(params, tokens, config, segment_ids=segs, want_aux=True)
+        assert len(out.expert_counts) == len(config.moe_layers) == 2
+        live = int((segs > 0).sum())
+        assert all(c.sum() == config.experts_per_token * live for c in out.expert_counts)
+        # An appended all-padding row changes neither, whatever its tokens.
+        padded = build_forward(params, np.vstack([tokens, rng.integers(4, 32, size=(1, 8))]),
+                               config, segment_ids=np.vstack([segs, np.zeros((1, 8), int)]),
+                               want_aux=True)
+        assert np.array_equal(padded.aux_loss, out.aux_loss)
+        assert len(padded.expert_counts) == len(out.expert_counts)
+        assert all(np.array_equal(a, b) for a, b in zip(padded.expert_counts, out.expert_counts))
+
+
 def loop_segment_positions(segment_ids):
     """Reference: count up within each run of equal ids, restart on a change."""
     b, t = segment_ids.shape
@@ -299,6 +319,28 @@ class TestScoreStep:
         decoys = rng.integers(4, config.vocab_size, size=(2, len(ids)))
         _, block = block_walk(params, config, [ids, *decoys])
         assert np.abs(block[:, 0] - rows).max() < 1e-5
+
+    def test_packed_rows_match_decode_steps(self, tiny_config):
+        """Packed segments and trailing padding through build_forward score
+        each segment as stepping it alone from BOS does: the segment bias
+        and the position reset reach every layer of the shared stack."""
+        params = init_params(tiny_config, 0)
+        packed = [[[BOS_ID, 5, 9, 13, 7], [BOS_ID, 21, 4, 30], [BOS_ID, 11, 6]],
+                  [[BOS_ID, 8, 8, 12, 19, 25, 4], [BOS_ID, 17]]]
+        t = 16
+        tokens, segs = np.zeros((2, t), dtype=np.int64), np.zeros((2, t), dtype=np.int64)
+        for row, segments in enumerate(packed):
+            ids = sum(segments, [])
+            assert len(ids) < t  # trailing padding
+            tokens[row, :len(ids)] = ids
+            segs[row, :len(ids)] = sum(([n + 1] * len(s) for n, s in enumerate(segments)), [])
+        out = build_forward(params, tokens, tiny_config, segment_ids=segs).log_probs
+        for row, segments in enumerate(packed):
+            start = 0
+            for seg in segments:
+                _, want = block_walk(params, tiny_config, [seg])
+                assert np.abs(out[row, start:start + len(seg)] - want[:, 0]).max() < 1e-5
+                start += len(seg)
 
     def test_many_random_prefixes_agree(self, tiny_config):
         params = init_params(tiny_config, 0)
