@@ -103,6 +103,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CorruptCheckpointError(f"unreadable manifest: {exc}") from exc
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(k), dict) for k in ("config", "tensors"))):
+        raise CorruptCheckpointError("manifest is not a JSON object with 'config' and "
+                                     "'tensors' objects")
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
@@ -133,6 +137,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         dt = np.dtype(_DTYPES[code])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if type(start) is not int:
+            raise CorruptCheckpointError(f"tensor {name!r} has offset {start!r}, not an integer")
         end = start + count * dt.itemsize
         if start < 0 or end > len(raw):
             raise CorruptCheckpointError(

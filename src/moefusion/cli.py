@@ -145,8 +145,8 @@ def _check_search_flags(args) -> None:
 
 
 def cmd_decode(args) -> int:
-    if args.lam < 0:
-        raise UsageError("--lambda must be >= 0")
+    if not 0 <= args.lam < float("inf"):
+        raise UsageError("--lambda must be finite and >= 0")
     _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")

@@ -1,16 +1,18 @@
 """Shallow-fusion beam search over an external posterior source and an LM.
 
-Hypotheses are scored as combined = e2e_logprob + lam * lm_logprob. The
-posterior source gives a step's rows as one block, rows(prefixes, t), to
-the beam and (one prefix at a time) to the oracle; LatticeSource serves
-precomputed, prefix-independent per-step log-distributions. max_len
-counts content tokens; a hypothesis reaching it may only extend with EOS,
-which makes the beam's search space identical to the exhaustive oracle's.
+Hypotheses are scored as combined = e2e_logprob + lam * lm_logprob. Both
+inputs come in blocks, one per beam step or oracle level: the posterior
+source's rows(prefixes, t), and the LM scorer's start_rows once per search
+then advance_rows (the scorer protocol, see CheckpointLmScorer).
+LatticeSource serves precomputed, prefix-independent per-step
+log-distributions. max_len counts content tokens; a hypothesis reaching it
+may only extend with EOS, which makes the beam's search space identical to
+the exhaustive oracle's.
 
 One beam search can run several configs (a lambda sweep) in lockstep: each
 config's beam selects exactly as it would alone. Each step the LM scores the
-distinct children of every config in one advance_rows call (see
-CheckpointLmScorer), each child named by its parent's LM row * V + token.
+distinct children of every config in one advance_rows call, each child
+named by its parent's LM row * V + token.
 
 A beam keeps its scores in arrays and builds Hypothesis objects only for
 finished decodes. Each input is floored (NaN rejected, values raised to
@@ -37,7 +39,7 @@ from .numerics import logsumexp
 from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 
 __all__ = [
-    "LOG_FLOOR", "FusionConfig", "Hypothesis",
+    "LOG_FLOOR", "KV_BLOCK_BYTES", "FusionConfig", "Hypothesis",
     "LatticeSource", "CheckpointLmScorer",
     "fuse", "beam_search_fusion", "exhaustive_oracle",
     "load_lattice", "save_lattice", "DecodeRow", "decode_utterances",
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 LOG_FLOOR = -1e9
+KV_BLOCK_BYTES = 1 << 28  # largest KV block CheckpointLmScorer allocates
 _ROW_NORM_TOL = 1e-5
 _BIN_MAGIC = b"latb1\n"
 
@@ -134,16 +137,14 @@ class LatticeSource:
 class CheckpointLmScorer:
     """The LM scorer over a checkpoint, and the scorer protocol.
 
-    start() is the state after BOS and its (V,) row; advance(state, token)
-    one token further, leaving state intact (the oracle branches states).
-    The beam scores blocks: start_rows(length) begins a search of at most
-    `length` positions (BOS included) and gives BOS's one-row block and row;
+    start_rows(length) begins a search of at most `length` positions (BOS
+    included) and gives BOS's one-row block and its (V,) row;
     advance_rows(block, parents, tokens) gives the next block, row r
-    extending row parents[r] by tokens[r], and its (R, V) rows; a block is
-    valid only as the next call's input. Here start and advance run
-    lm_score_step; advance_rows runs lm_score_rows between two KV blocks
-    that alternate as its destination, each grown only when a step needs
-    more rows than it has.
+    extending row parents[r] by tokens[r], and its (R, V) rows. A block is
+    valid only as the next call's input. Here BOS runs lm_score_step, and
+    advance_rows runs lm_score_rows between two KV blocks that alternate as
+    its destination, each grown only when a step needs more rows than it
+    has, and refused (ValueError) past KV_BLOCK_BYTES.
     """
 
     def __init__(self, ckpt: Checkpoint):
@@ -151,22 +152,20 @@ class CheckpointLmScorer:
         self.config = ckpt.config
         self.vocab_size = ckpt.config.vocab_size
 
-    def start(self) -> tuple[LmState, np.ndarray]:
-        state = initial_state(self.config)
-        return lm_score_step(self._params, self.config, state, BOS_ID)
-
-    def advance(self, state: LmState, token: int) -> tuple[LmState, np.ndarray]:
-        return lm_score_step(self._params, self.config, state, int(token))
-
     def start_rows(self, length: int) -> tuple[LmState, np.ndarray]:
         self._length, self._blocks = length, [initial_state(self.config, 0)] * 2
-        return self.start()
+        return lm_score_step(self._params, self.config, initial_state(self.config), BOS_ID)
 
     def advance_rows(self, block: LmState, parents: np.ndarray,
                      tokens: np.ndarray) -> tuple[LmState, np.ndarray]:
-        i = int(block is self._blocks[0])
-        if self._blocks[i].keys[0].shape[0] < len(tokens):
-            self._blocks[i] = initial_state(self.config, len(tokens), self._length)
+        i, rows = int(block is self._blocks[0]), len(tokens)
+        if self._blocks[i].keys[0].shape[0] < rows:
+            one = initial_state(self.config, 1, self._length)
+            need = rows * sum(a.nbytes for a in one.keys + one.values)
+            if need > KV_BLOCK_BYTES:
+                raise ValueError(f"a KV block of {rows} rows needs {need} bytes, over "
+                                 f"the {KV_BLOCK_BYTES}-byte budget")
+            self._blocks[i] = initial_state(self.config, rows, self._length)
         dst = self._blocks[i]
         return dst, lm_score_rows(self._params, self.config, block, dst, parents, tokens)
 
@@ -209,12 +208,12 @@ def beam_search_fusion(
 ):
     """Beam search under the fused score; returns up to n_best finished hyps.
 
-    lm may be None (pure e2e), a Checkpoint, or any scorer with the
-    CheckpointLmScorer methods. configs is one FusionConfig (returns its
-    n-best list) or a sequence (returns one list per config). The configs'
-    beams advance in lockstep, each selecting exactly as it would alone; the
-    LM starts once and scores each step's distinct children of every config
-    in one advance_rows call: O(beam * length) rows per config at most.
+    lm may be None (pure e2e), a Checkpoint, or any scorer with the two
+    block calls of CheckpointLmScorer. configs is one FusionConfig (returns
+    its n-best list) or a sequence (returns one list per config). The
+    configs' beams advance in lockstep, each selecting exactly as it would
+    alone; the LM starts once and scores each step's distinct children of
+    every config in one advance_rows call: O(beam * length) rows per config.
     """
     single = isinstance(configs, FusionConfig)
     configs = [configs] if single else list(configs)
@@ -307,55 +306,46 @@ def exhaustive_oracle(
     """Score every sequence up to max_len content tokens; return the best.
 
     Independent of the beam machinery; used to certify beam results on tiny
-    instances. Refuses when |V|^max_len exceeds 1e6.
+    instances. Walks level by level: level d holds every prefix of d content
+    tokens in lex order, scored by one source.rows call, and one advance_rows
+    call scores all their non-EOS children. Memory is the widest level,
+    (V-1)^max_len prefixes. Refuses when |V|^max_len exceeds 1e6.
     """
     lm_scorer = _wrap_lm(lm)
     _check_vocab(source, lm_scorer)
     v = source.vocab_size
-    eff_max = min(max_len, source.max_steps - 1)
+    eff_max = max(0, min(max_len, source.max_steps - 1))
     space = float(v) ** eff_max
     if space > 1e6:
         raise ValueError(
             f"oracle space {v}^{eff_max} ~ {space:.2e} sequences exceeds 1e6"
         )
 
-    best: Hypothesis | None = None
-
-    def consider(tokens, e2e_lp, lm_lp):
-        nonlocal best
-        combined = fuse(e2e_lp, lm_lp, lam)
-        if (
-            best is None
-            or combined > best.combined
-            or (combined == best.combined and tokens < best.tokens)
-        ):
-            best = Hypothesis(tokens, e2e_lp, lm_lp, combined)
-
-    def dfs(prefix, e2e_lp, lm_lp, lm_state, lm_dist, depth):
-        row = source.rows([prefix], depth)[0]
-        lm_row = _floor(lm_dist) if lm_scorer is not None else None
-        lm_eos = float(lm_row[EOS_ID]) if lm_row is not None else 0.0
-        consider(prefix + (EOS_ID,), e2e_lp + float(row[EOS_ID]), lm_lp + lm_eos)
-        if depth >= eff_max:
-            return
-        for tok in range(v):
-            if tok == EOS_ID:
-                continue
-            lm_inc = float(lm_row[tok]) if lm_row is not None else 0.0
-            if lm_scorer is not None:
-                st2, dist2 = lm_scorer.advance(lm_state, tok)
-            else:
-                st2, dist2 = None, None
-            dfs(prefix + (tok,), e2e_lp + float(row[tok]), lm_lp + lm_inc,
-                st2, dist2, depth + 1)
-
+    content = np.delete(np.arange(v), EOS_ID)
+    prefixes, sums = [()], np.zeros((1, 2))  # each prefix's (e2e, lm) sums
+    lm_rows = np.broadcast_to(0.0, (1, v))
     if lm_scorer is not None:
-        state0, dist0 = lm_scorer.start()
-    else:
-        state0, dist0 = None, None
-    dfs((), 0.0, 0.0, state0, dist0, 0)
-    assert best is not None
-    return best
+        block, dist0 = lm_scorer.start_rows(eff_max + 1)
+        lm_rows = _floor(dist0)[None]
+    level_bests = []
+    for d in range(eff_max + 1):
+        rows = source.rows(prefixes, d)
+        ends = sums + np.stack([rows[:, EOS_ID], lm_rows[:, EOS_ID]], axis=1)
+        # A level's first best is its lex-smallest, the prefixes being sorted.
+        i = int(np.argmax(ends[:, 0] + lam * ends[:, 1]))
+        e2e, lm_lp = ends[i].tolist()
+        level_bests.append(Hypothesis(prefixes[i] + (EOS_ID,), e2e, lm_lp, fuse(e2e, lm_lp, lam)))
+        if d == eff_max:
+            return min(level_bests, key=lambda h: (-h.combined, h.tokens))
+        parents = np.repeat(np.arange(len(prefixes)), content.size)
+        toks = np.tile(content, len(prefixes))
+        sums = sums[parents] + np.stack([rows[parents, toks], lm_rows[parents, toks]], axis=1)
+        prefixes = [prefixes[p] + (tok,) for p, tok in zip(parents.tolist(), toks.tolist())]
+        if lm_scorer is None:
+            lm_rows = np.broadcast_to(0.0, (len(prefixes), v))
+        else:
+            block, dist = lm_scorer.advance_rows(block, parents, toks)
+            lm_rows = _floor(dist)
 
 
 def save_lattice(frames: np.ndarray, path: str | Path, binary: bool = False) -> None:

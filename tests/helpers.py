@@ -6,9 +6,10 @@ import numpy as np
 
 from moefusion import autodiff as ad
 from moefusion.checkpoint import Checkpoint
-from moefusion.fusion import CheckpointLmScorer, _floor
-from moefusion.model import LmState
+from moefusion.fusion import _floor
+from moefusion.model import LmState, initial_state, lm_score_step
 from moefusion.numerics import log_softmax
+from moefusion.tokenizer import BOS_ID
 
 
 def record_var_inits(monkeypatch) -> list:
@@ -20,28 +21,12 @@ def record_var_inits(monkeypatch) -> list:
     return made
 
 
-class LoopRows:
-    """The block half of the scorer protocol over a scorer's start/advance.
+class TableLm:
+    """Deterministic toy LM: each row walks a fixed table of log-distributions.
 
-    A block is a list of states; advance_rows advances its rows one at a
-    time, so a test scorer stays a few lines of start/advance.
-    """
-
-    def start_rows(self, length: int):
-        state, dist = self.start()
-        return [state], dist
-
-    def advance_rows(self, block, parents, tokens):
-        out = [self.advance(block[p], tok) for p, tok in zip(parents.tolist(), tokens.tolist())]
-        return [state for state, _ in out], np.stack([dist for _, dist in out])
-
-
-class TableLm(LoopRows):
-    """Deterministic toy LM: state walks a fixed table of log-distributions.
-
-    Implements the scorer protocol (start/advance, and the block calls
-    through LoopRows) without any model, so fusion logic can be tested
-    independently of LM internals.
+    Implements the scorer protocol's block calls without any model (a block
+    is the rows' table indices), so fusion logic can be tested independently
+    of LM internals.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -54,11 +39,11 @@ class TableLm(LoopRows):
         return cls(log_softmax(rng.standard_normal((n_states, vocab_size)) * scale,
                                axis=-1))
 
-    def start(self):
-        return 0, self.rows[0]
+    def start_rows(self, length: int):
+        return np.zeros(1, dtype=np.int64), self.rows[0]
 
-    def advance(self, state: int, token: int):
-        nxt = (state * 31 + int(token) + 1) % len(self.rows)
+    def advance_rows(self, block, parents, tokens):
+        nxt = (block[parents] * 31 + tokens + 1) % len(self.rows)
         return nxt, self.rows[nxt]
 
 
@@ -71,11 +56,11 @@ class ModelSource:
     """
 
     def __init__(self, ckpt: Checkpoint):
-        self._scorer = CheckpointLmScorer(ckpt)
-        self.vocab_size = self._scorer.vocab_size
+        self._params, self._config = ckpt.tensors, ckpt.config
+        self.vocab_size = ckpt.config.vocab_size
         self.max_steps = ckpt.config.max_seq_len - 1
         self._memo: dict[tuple[int, ...], tuple[LmState, np.ndarray]] = {
-            (): self._scorer.start()
+            (): lm_score_step(self._params, self._config, initial_state(self._config), BOS_ID)
         }
 
     def _ensure(self, prefix: tuple[int, ...]) -> tuple[LmState, np.ndarray]:
@@ -83,7 +68,7 @@ class ModelSource:
         if hit is not None:
             return hit
         state, _ = self._ensure(prefix[:-1])
-        entry = self._scorer.advance(state, prefix[-1])
+        entry = lm_score_step(self._params, self._config, state, prefix[-1])
         self._memo[prefix] = entry
         return entry
 
@@ -102,12 +87,12 @@ class ModelSource:
         return _floor(np.stack(out))
 
 
-class CountingLm(LoopRows):
-    """Wraps a scorer and records each start(), each advance_rows() call and
-    the prefix of each advance().
+class CountingLm:
+    """Wraps a scorer and records each start_rows() call, each advance_rows()
+    call and the prefix of each row advanced.
 
-    The wrapped state carries its token prefix, so `advanced` lists the
-    prefix every LM step was run for, in call order.
+    The wrapped block carries its rows' token prefixes, so `advanced` lists
+    the prefix every LM row was scored for, in call order.
     """
 
     def __init__(self, inner):
@@ -117,34 +102,31 @@ class CountingLm(LoopRows):
         self.blocks = 0
         self.advanced: list[tuple[int, ...]] = []
 
+    def start_rows(self, length: int):
+        self.starts += 1
+        block, dist = self.inner.start_rows(length)
+        return ([()], block), dist
+
     def advance_rows(self, block, parents, tokens):
         self.blocks += 1
-        return super().advance_rows(block, parents, tokens)
-
-    def start(self):
-        self.starts += 1
-        state, dist = self.inner.start()
-        return ((), state), dist
-
-    def advance(self, state, token: int):
-        prefix = state[0] + (int(token),)
-        self.advanced.append(prefix)
-        inner_state, dist = self.inner.advance(state[1], token)
-        return (prefix, inner_state), dist
+        prefixes = [block[0][p] + (t,) for p, t in zip(parents.tolist(), tokens.tolist())]
+        self.advanced += prefixes
+        inner, dist = self.inner.advance_rows(block[1], parents, tokens)
+        return (prefixes, inner), dist
 
 
-class UniformLm(LoopRows):
+class UniformLm:
     """LM that scores every token equally at every step."""
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
         self._row = np.full(vocab_size, -np.log(vocab_size))
 
-    def start(self):
-        return 0, self._row
+    def start_rows(self, length: int):
+        return None, self._row
 
-    def advance(self, state, token):
-        return 0, self._row
+    def advance_rows(self, block, parents, tokens):
+        return None, np.tile(self._row, (len(tokens), 1))
 
 
 def random_lattice(vocab_size: int, n_rows: int, seed: int, scale: float = 2.0):

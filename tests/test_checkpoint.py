@@ -129,3 +129,22 @@ class TestValidation:
         (tmp_path / "ck" / "weights.bin").write_bytes(blob + b"\x00" * 16)
         with pytest.raises(CorruptCheckpointError, match="bytes"):
             load_checkpoint(tmp_path / "ck")
+
+
+
+WRONG_MANIFESTS = {
+    "json_list": lambda man: list(man),
+    "no_config": lambda man: {k: v for k, v in man.items() if k != "config"},
+    "no_tensors": lambda man: {k: v for k, v in man.items() if k != "tensors"},
+    "string_offset": lambda man: {**man, "tensors": {
+        n: {**e, "offset": str(e["offset"])} for n, e in man["tensors"].items()}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_MANIFESTS))
+def test_wrong_manifest_is_corrupt(case, tiny_config, tmp_path):
+    save_checkpoint(make_ckpt(tiny_config), tmp_path / "ck")
+    path = tmp_path / "ck" / "manifest.json"
+    path.write_text(json.dumps(WRONG_MANIFESTS[case](json.loads(path.read_text()))))
+    with pytest.raises(CorruptCheckpointError):
+        load_checkpoint(tmp_path / "ck")

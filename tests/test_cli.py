@@ -214,6 +214,16 @@ class TestDecodeCommand:
                    "--output", str(tmp_path / "d.tsv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lambda_is_usage_error(self, lam, synth_pipeline, tmp_path,
+                                              capsys):
+        paths = synth_pipeline["paths"]
+        rc = main(["decode", "--lattice-dir", str(paths.lattice_dir),
+                   "--vocab", str(paths.vocab), "--lambda", lam,
+                   "--output", str(tmp_path / "d.tsv")])
+        assert rc == 1
+        assert "--lambda must be finite" in capsys.readouterr().err
+
     def test_lambda_zero_with_lm_matches_no_lm(self, synth_pipeline, lm_dir,
                                                tmp_path, capsys):
         paths = synth_pipeline["paths"]

@@ -1,11 +1,14 @@
 """Fusion decoding: scoring rule, beam vs oracle, lattice IO, decode files."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import moefusion.fusion as fusion_mod
 from helpers import (
-    CountingLm, LoopRows, ModelSource, TableLm, UniformLm, random_lattice,
+    CountingLm, ModelSource, TableLm, UniformLm, random_lattice,
     reference_select,
 )
 from moefusion.adafactor import AdafactorHyper
@@ -250,24 +253,24 @@ class NanSource:
         return _floor(block)
 
 
-class NanLm(LoopRows):
-    """Wraps a scorer; its second advance() returns a row holding a NaN."""
+class NanLm:
+    """Wraps a scorer; the second row it advances holds a NaN."""
 
     def __init__(self, inner):
         self.inner = inner
         self.vocab_size = inner.vocab_size
-        self.advances = 0
+        self.advanced = 0
 
-    def start(self):
-        return self.inner.start()
+    def start_rows(self, length):
+        return self.inner.start_rows(length)
 
-    def advance(self, state, token):
-        self.advances += 1
-        state, row = self.inner.advance(state, token)
-        if self.advances == 2:
-            row = row.copy()
-            row[5] = np.nan
-        return state, row
+    def advance_rows(self, block, parents, tokens):
+        block, rows = self.inner.advance_rows(block, parents, tokens)
+        if self.advanced < 2 <= self.advanced + len(rows):
+            rows = rows.copy()
+            rows[1 - self.advanced, 5] = np.nan
+        self.advanced += len(rows)
+        return block, rows
 
 
 NAN_CONFIGS = [
@@ -351,17 +354,84 @@ class TestModelSource:
         scorer = CheckpointLmScorer(trained)
         ids = [4, 5, 6, 7]
         rows = lm_forward(trained.tensors, [BOS_ID] + ids, trained.config)
-        state, dist = scorer.start()
+        block, dist = scorer.start_rows(len(ids) + 1)
         assert np.abs(dist - rows[0]).max() < 1e-6
         for i, tok in enumerate(ids):
-            state, dist = scorer.advance(state, tok)
-            assert np.abs(dist - rows[i + 1]).max() < 1e-6
+            block, dist = scorer.advance_rows(block, np.array([0]), np.array([tok]))
+            assert dist.shape == (1, 8)
+            assert np.abs(dist[0] - rows[i + 1]).max() < 1e-6
 
     def test_vocab_mismatch_detected(self, trained):
         src = LatticeSource(random_lattice(12, 3, seed=15))
         with pytest.raises(VocabMismatchError):
             beam_search_fusion(src, trained,
                                FusionConfig(lam=0.1, beam_size=4))
+
+
+def score_alone(scorer, prefix):
+    """The row after `prefix`, scored in one-row blocks from a fresh start."""
+    block, row = scorer.start_rows(len(prefix) + 1)
+    for tok in prefix:
+        block, rows = scorer.advance_rows(block, np.array([0]), np.array([tok]))
+        row = rows[0]
+    return row
+
+
+class TestScorerProtocol:
+    """The two block calls every scorer implements, checked alike."""
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "table", "uniform"])
+    def test_block_rows_equal_children_scored_alone(self, kind, trained):
+        make = {"checkpoint": lambda: CheckpointLmScorer(trained),
+                "table": lambda: TableLm.random(8, 7, seed=80),
+                "uniform": lambda: UniformLm(8)}[kind]
+        scorer, tol = make(), 1e-12 if kind == "checkpoint" else 0.0
+        block, _ = scorer.start_rows(4)
+        prefixes = [()]
+        # one parent to four rows, then parents that repeat (3), skip (2)
+        # and come out of order, then a block of one row
+        for parents, tokens in (([0, 0, 0, 0], [4, 5, 6, 7]),
+                                ([3, 1, 3, 0, 1], [4, 6, 5, 7, 6]),
+                                ([2], [5])):
+            parents, tokens = np.array(parents), np.array(tokens)
+            block, rows = scorer.advance_rows(block, parents, tokens)
+            assert rows.shape == (len(tokens), 8)
+            prefixes = [prefixes[p] + (t,) for p, t in zip(parents.tolist(), tokens.tolist())]
+            for prefix, row in zip(prefixes, rows):
+                assert np.abs(row - score_alone(make(), prefix)).max() <= tol, prefix
+
+    def test_oracle_scores_one_block_per_level_in_lex_order(self):
+        v, max_len = 6, 3
+        lm = CountingLm(TableLm.random(v, 5, seed=81))
+        exhaustive_oracle(LatticeSource(random_lattice(v, 5, seed=81)), lm, 0.3, max_len)
+        content = [tok for tok in range(v) if tok != EOS_ID]
+        assert lm.starts == 1 and lm.blocks == max_len
+        assert lm.advanced == [prefix for d in range(1, max_len + 1)
+                               for prefix in itertools.product(content, repeat=d)]
+
+    def test_kv_budget_refuses_wide_blocks(self, trained, monkeypatch):
+        c = trained.config
+        cell = 2 * 8 * c.num_layers * c.num_heads * c.head_dim  # one row, one position
+        monkeypatch.setattr(fusion_mod, "KV_BLOCK_BYTES", 8 * 4 * cell)
+        src = LatticeSource(random_lattice(8, 4, seed=82))
+        # 7 rows of 2 and 4 rows of 4 positions fit; 49 rows do not
+        exhaustive_oracle(src, trained, 0.3, max_len=1)
+        beam_search_fusion(src, trained, FusionConfig(lam=0.3, beam_size=4))
+        with pytest.raises(ValueError, match=f"49 rows needs {49 * 3 * cell} bytes, "
+                           f"over the {8 * 4 * cell}-byte budget"):
+            exhaustive_oracle(src, trained, 0.3, max_len=2)
+        with pytest.raises(ValueError, match="49 rows needs .* budget"):
+            beam_search_fusion(src, trained, FusionConfig(lam=0.3, beam_size=64))
+
+    def test_default_config_oracle_is_refused(self, monkeypatch):
+        # V = 16,384: the oracle's first level would be a 4.8 GB KV block.
+        config = MoeLmConfig()
+        monkeypatch.setattr(fusion_mod, "lm_score_step", lambda params, c, state, tok: (
+            initial_state(c), np.full(c.vocab_size, -np.log(c.vocab_size))))
+        scorer = CheckpointLmScorer(SimpleNamespace(tensors={}, config=config))
+        src = LatticeSource(np.full((2, config.vocab_size), -np.log(config.vocab_size)))
+        with pytest.raises(ValueError, match="16383 rows needs 4831543296 bytes"):
+            exhaustive_oracle(src, scorer, 0.3, max_len=1)
 
 
 def sweep_configs(rng, lam_pool=(0.0, 0.15, 0.3, 0.3, 0.8, 2.0)):
