@@ -39,7 +39,7 @@ from .numerics import logsumexp
 from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 
 __all__ = [
-    "LOG_FLOOR", "KV_BLOCK_BYTES", "FusionConfig", "Hypothesis",
+    "LOG_FLOOR", "ORACLE_LM_BYTES", "FusionConfig", "Hypothesis",
     "LatticeSource", "CheckpointLmScorer",
     "fuse", "beam_search_fusion", "exhaustive_oracle",
     "load_lattice", "save_lattice", "DecodeRow", "decode_utterances",
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 LOG_FLOOR = -1e9
-KV_BLOCK_BYTES = 1 << 28  # largest KV block CheckpointLmScorer allocates
+ORACLE_LM_BYTES = 1 << 28  # the LM memory of exhaustive_oracle's widest level
 _ROW_NORM_TOL = 1e-5
 _BIN_MAGIC = b"latb1\n"
 
@@ -143,8 +143,7 @@ class CheckpointLmScorer:
     extending row parents[r] by tokens[r], and its (R, V) rows. A block is
     valid only as the next call's input. Here BOS runs lm_score_step, and
     advance_rows runs lm_score_rows between two KV blocks that alternate as
-    its destination, each grown only when a step needs more rows than it
-    has, and refused (ValueError) past KV_BLOCK_BYTES.
+    its destination, each grown only when a step needs more rows than it has.
     """
 
     def __init__(self, ckpt: Checkpoint):
@@ -158,14 +157,9 @@ class CheckpointLmScorer:
 
     def advance_rows(self, block: LmState, parents: np.ndarray,
                      tokens: np.ndarray) -> tuple[LmState, np.ndarray]:
-        i, rows = int(block is self._blocks[0]), len(tokens)
-        if self._blocks[i].keys[0].shape[0] < rows:
-            one = initial_state(self.config, 1, self._length)
-            need = rows * sum(a.nbytes for a in one.keys + one.values)
-            if need > KV_BLOCK_BYTES:
-                raise ValueError(f"a KV block of {rows} rows needs {need} bytes, over "
-                                 f"the {KV_BLOCK_BYTES}-byte budget")
-            self._blocks[i] = initial_state(self.config, rows, self._length)
+        i = int(block is self._blocks[0])
+        if self._blocks[i].keys[0].shape[0] < len(tokens):
+            self._blocks[i] = initial_state(self.config, len(tokens), self._length)
         dst = self._blocks[i]
         return dst, lm_score_rows(self._params, self.config, block, dst, parents, tokens)
 
@@ -309,7 +303,9 @@ def exhaustive_oracle(
     instances. Walks level by level: level d holds every prefix of d content
     tokens in lex order, scored by one source.rows call, and one advance_rows
     call scores all their non-EOS children. Memory is the widest level,
-    (V-1)^max_len prefixes. Refuses when |V|^max_len exceeds 1e6.
+    (V-1)^max_len prefixes. Refuses, before any scoring, when |V|^max_len
+    exceeds 1e6 or that level's float64 LM rows and (for a checkpoint) KV
+    block, as initial_state lays it out, exceed ORACLE_LM_BYTES.
     """
     lm_scorer = _wrap_lm(lm)
     _check_vocab(source, lm_scorer)
@@ -320,6 +316,11 @@ def exhaustive_oracle(
         raise ValueError(
             f"oracle space {v}^{eff_max} ~ {space:.2e} sequences exceeds 1e6"
         )
+    width, c = (v - 1) ** eff_max, getattr(lm_scorer, "config", None)
+    kv = 0 if c is None else 16 * c.num_layers * c.num_heads * c.head_dim * (eff_max + 1)
+    if lm_scorer is not None and width * (8 * v + kv) > ORACLE_LM_BYTES:
+        raise ValueError(f"the oracle's widest level of {width} LM rows needs "
+                         f"{width * (8 * v + kv)} bytes, over the {ORACLE_LM_BYTES}-byte budget")
 
     content = np.delete(np.arange(v), EOS_ID)
     prefixes, sums = [()], np.zeros((1, 2))  # each prefix's (e2e, lm) sums

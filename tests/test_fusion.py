@@ -18,7 +18,7 @@ from moefusion.fusion import (
     _floor, beam_search_fusion, decode_utterances, exhaustive_oracle, fuse,
     load_lattice, read_decodes, save_lattice, write_decodes,
 )
-from moefusion.model import MoeLmConfig, initial_state, lm_forward
+from moefusion.model import MoeLmConfig, lm_forward
 from moefusion.tokenizer import BOS_ID, EOS_ID
 from moefusion.trainer import train
 
@@ -409,28 +409,32 @@ class TestScorerProtocol:
         assert lm.advanced == [prefix for d in range(1, max_len + 1)
                                for prefix in itertools.product(content, repeat=d)]
 
-    def test_kv_budget_refuses_wide_blocks(self, trained, monkeypatch):
+    def test_oracle_lm_budget_refuses_before_scoring(self, trained, monkeypatch):
         c = trained.config
-        cell = 2 * 8 * c.num_layers * c.num_heads * c.head_dim  # one row, one position
-        monkeypatch.setattr(fusion_mod, "KV_BLOCK_BYTES", 8 * 4 * cell)
+        cell = 16 * c.num_layers * c.num_heads * c.head_dim  # one row's KV, one position
+        budget = 7 * (8 * 8 + 2 * cell)  # max_len=1: 7 LM rows over V = 8, 2 positions
+        monkeypatch.setattr(fusion_mod, "ORACLE_LM_BYTES", budget)
         src = LatticeSource(random_lattice(8, 4, seed=82))
-        # 7 rows of 2 and 4 rows of 4 positions fit; 49 rows do not
         exhaustive_oracle(src, trained, 0.3, max_len=1)
-        beam_search_fusion(src, trained, FusionConfig(lam=0.3, beam_size=4))
-        with pytest.raises(ValueError, match=f"49 rows needs {49 * 3 * cell} bytes, "
-                           f"over the {8 * 4 * cell}-byte budget"):
+        with pytest.raises(ValueError, match=f"49 LM rows needs {49 * (64 + 3 * cell)} "
+                           f"bytes, over the {budget}-byte budget"):
             exhaustive_oracle(src, trained, 0.3, max_len=2)
-        with pytest.raises(ValueError, match="49 rows needs .* budget"):
-            beam_search_fusion(src, trained, FusionConfig(lam=0.3, beam_size=64))
+        # a scorer without a checkpoint config is charged its LM rows only
+        monkeypatch.setattr(fusion_mod, "ORACLE_LM_BYTES", 48 * 64)
+        lm = CountingLm(TableLm.random(8, 4, seed=82))
+        with pytest.raises(ValueError, match=f"needs {49 * 64} bytes"):
+            exhaustive_oracle(src, lm, 0.3, max_len=2)
+        assert lm.starts == 0 and lm.blocks == 0
+        # the beam is not capped: 64 rows of 4 positions decode as before
+        beam_search_fusion(src, trained, FusionConfig(lam=0.3, beam_size=64))
 
-    def test_default_config_oracle_is_refused(self, monkeypatch):
-        # V = 16,384: the oracle's first level would be a 4.8 GB KV block.
+    def test_default_config_oracle_is_refused(self):
+        # V = 16,384: the first level would hold 2.1 GB of LM rows and a
+        # 4.8 GB KV block; the refusal comes before start_rows (no tensors).
         config = MoeLmConfig()
-        monkeypatch.setattr(fusion_mod, "lm_score_step", lambda params, c, state, tok: (
-            initial_state(c), np.full(c.vocab_size, -np.log(c.vocab_size))))
         scorer = CheckpointLmScorer(SimpleNamespace(tensors={}, config=config))
         src = LatticeSource(np.full((2, config.vocab_size), -np.log(config.vocab_size)))
-        with pytest.raises(ValueError, match="16383 rows needs 4831543296 bytes"):
+        with pytest.raises(ValueError, match="16383 LM rows needs 6978895872 bytes"):
             exhaustive_oracle(src, scorer, 0.3, max_len=1)
 
 
