@@ -6,9 +6,12 @@ as constants and receive no gradient. An op whose inputs are all constants
 returns a bare ndarray and records nothing, so the same layer code runs a
 training graph on Vars and a plain numpy computation on arrays. Var supports
 `+` and `@` (either side may be an ndarray); every other op is a function.
-The op set is exactly what the language model forward pass needs; each
-vector-Jacobian product is hand-written and covered by finite-difference
-tests.
+The op set is exactly what the language model forward pass and its loss
+need: elementwise add, mul and scale; matmul, reshape, swapaxes and sum_;
+softmax, log_softmax, gelu and layer_norm; and the indexing ops take_rows,
+gather_pairs, concat_rows and scatter_add_rows, which route tokens to
+experts and back. Each vector-Jacobian product is hand-written and covered
+by finite-difference tests.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from . import numerics
 __all__ = [
     "Var",
     "value",
-    "add", "mul", "neg", "scale",
+    "add", "mul", "scale",
     "matmul", "reshape", "swapaxes",
     "sum_",
     "softmax", "log_softmax", "gelu", "layer_norm",
-    "take_rows", "gather_cols", "gather_pairs", "gather_last",
-    "scatter_add_rows",
+    "take_rows", "gather_pairs", "concat_rows", "scatter_add_rows",
     "backward",
 ]
 
@@ -101,10 +103,6 @@ def mul(a, b):
         (a, lambda g: _unbroadcast(g * bv, av.shape)),
         (b, lambda g: _unbroadcast(g * av, bv.shape)),
     ])
-
-
-def neg(a):
-    return _node(-value(a), [(a, lambda g: -g)])
 
 
 def scale(a, c):
@@ -227,25 +225,12 @@ def take_rows(w, ids):
     return _node(wv[ids], [(w, vjp)])
 
 
-def gather_cols(a, idx):
-    """Per-row column gather: out[i, j] = a[i, idx[i, j]].
-
-    idx must have no duplicate columns within a row (true for top-k
-    selections), which makes the scatter in the vjp collision-free.
-    """
-    av = value(a)
-    idx = np.asarray(idx)
-
-    def vjp(g):
-        out = np.zeros_like(av)
-        np.put_along_axis(out, idx, g, axis=1)
-        return out
-
-    return _node(av[np.arange(av.shape[0])[:, None], idx], [(a, vjp)])
-
-
 def gather_pairs(a, rows, cols):
-    """out[i] = a[rows[i], cols[i]] for 1-D index arrays."""
+    """out[...] = a[rows[...], cols[...]] for integer index arrays that broadcast.
+
+    rows of shape (n, 1) against cols of shape (n, k) pick k columns per row;
+    repeated (row, col) pairs accumulate in the vjp.
+    """
     av = value(a)
     rows = np.asarray(rows)
     cols = np.asarray(cols)
@@ -258,18 +243,14 @@ def gather_pairs(a, rows, cols):
     return _node(av[rows, cols], [(a, vjp)])
 
 
-def gather_last(a, idx):
-    """Gather one element per position along the last axis: out[..] = a[.., idx[..]]."""
-    av = value(a)
-    idx = np.asarray(idx)
-
-    def vjp(g):
-        out = np.zeros_like(av)
-        np.put_along_axis(out, idx[..., None], g[..., None], axis=-1)
-        return out
-
-    return _node(np.take_along_axis(av, idx[..., None], axis=-1)[..., 0],
-                 [(a, vjp)])
+def concat_rows(parts):
+    """Join arrays or Vars along axis 0; each part's vjp is its slice of g."""
+    vals = [value(p) for p in parts]
+    ends = np.cumsum([v.shape[0] for v in vals]).tolist()
+    return _node(np.concatenate(vals, axis=0), [
+        (p, lambda g, a=a, b=b: g[a:b])
+        for p, a, b in zip(parts, [0, *ends], ends)
+    ])
 
 
 def scatter_add_rows(base, idx, rows):

@@ -58,6 +58,13 @@ def _dtype_code(arr: np.ndarray) -> str:
     return "f8"
 
 
+def _typed(what: str, val, kind: type):
+    """val if it is a JSON value of kind (an int counts as a float, a bool as no int)."""
+    if type(val) is kind or (kind is float and type(val) is int):
+        return val
+    raise CorruptCheckpointError(f"{what} is {val!r}, not a {kind.__name__}")
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write manifest.json and weights.bin into directory `path`."""
     path = Path(path)
@@ -113,6 +120,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointVersionError(
             f"checkpoint format version {version!r}, this build reads {FORMAT_VERSION}"
         )
+    known = MoeLmConfig.__dataclass_fields__
+    for key, val in manifest["config"].items():
+        if key in known:
+            _typed(f"config {key}", val, type(known[key].default))
+    step = _typed("training_step", manifest.get("training_step", 0), int)
     config = MoeLmConfig.from_dict(manifest["config"])
     raw = wpath.read_bytes()
     declared = manifest.get("total_bytes")
@@ -124,21 +136,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     expected = param_shapes(config)
     tensors: dict[str, np.ndarray] = {}
     for name, entry in manifest["tensors"].items():
-        shape = tuple(entry["shape"])
+        if not isinstance(entry, dict):
+            raise CorruptCheckpointError(f"tensor {name!r} entry {entry!r} is not an object")
+        shape = tuple(_typed(f"tensor {name!r} dim", n, int)
+                      for n in _typed(f"tensor {name!r} shape", entry.get("shape"), list))
         if name not in expected:
             raise CheckpointShapeError(f"manifest lists unknown tensor {name!r}")
         if shape != expected[name]:
             raise CheckpointShapeError(
                 f"tensor {name!r} has shape {shape}, config implies {expected[name]}"
             )
-        code = entry["dtype"]
+        code = _typed(f"tensor {name!r} dtype", entry.get("dtype"), str)
         if code not in _DTYPES:
             raise CorruptCheckpointError(f"tensor {name!r} has unknown dtype {code!r}")
         dt = np.dtype(_DTYPES[code])
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        if type(start) is not int:
-            raise CorruptCheckpointError(f"tensor {name!r} has offset {start!r}, not an integer")
+        start = _typed(f"tensor {name!r} offset", entry.get("offset"), int)
         end = start + count * dt.itemsize
         if start < 0 or end > len(raw):
             raise CorruptCheckpointError(
@@ -154,6 +167,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(
         config=config,
         tensors=tensors,
-        training_step=int(manifest.get("training_step", 0)),
+        training_step=step,
         format_version=int(version),
     )

@@ -232,7 +232,7 @@ def gate_topk(token_repr, gate_weight, k: int) -> GateOutput:
     logits = (token_repr[None] if one else token_repr) @ gate_weight
     check_finite(ad.value(logits), "gate logits")
     sel = np.argsort(-ad.value(logits), axis=-1, kind="stable")[:, :k]
-    weights = ad.softmax(ad.gather_cols(logits, sel), axis=-1)
+    weights = ad.softmax(ad.gather_pairs(logits, np.arange(len(sel))[:, None], sel), axis=-1)
     if one:
         return GateOutput(tuple(sel[0].tolist()), weights[0], logits[0])
     return GateOutput(sel, weights, logits)
@@ -312,7 +312,8 @@ def _mixture(flat, gate_weight, expert, k: int, impl: str):
     """Top-k mixture of expert FFNs over (N, d) tokens; returns (out, gate).
 
     expert(idx) gives expert idx's FfnParams; gate is gate_topk's routing.
-    "sparse" runs each selected expert on its tokens, mixed by the softmax of
+    "sparse" runs each selected expert on its tokens, joins their outputs in
+    expert order and mixes them in one combine, weighted by the softmax of
     the selected logits; "dense" runs every expert on every token, mixed by
     the full gate softmax, and needs k == E, where the two are the same.
     """
@@ -326,7 +327,7 @@ def _mixture(flat, gate_weight, expert, k: int, impl: str):
     if impl == "dense":
         probs, out = ad.softmax(gate.all_gate_logits, axis=-1), None
         for idx in range(gate_weight.shape[1]):
-            col = ad.gather_cols(probs, np.full((n, 1), idx, dtype=np.int64))
+            col = ad.gather_pairs(probs, np.arange(n)[:, None], np.full((n, 1), idx))
             term = ad.mul(_ffn(flat, expert(idx)), col)
             out = term if out is None else ad.add(out, term)
         return out, gate
@@ -335,13 +336,11 @@ def _mixture(flat, gate_weight, expert, k: int, impl: str):
     order = np.argsort(gate.expert_indices, axis=None, kind="stable")
     ranked = gate.expert_indices.ravel()[order]
     edges = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), ranked.size]
-    out = np.zeros((n, d))
-    for a, b in zip(edges, edges[1:]):
-        tok, slot = np.divmod(order[a:b], k)
-        y = _ffn(ad.take_rows(flat, tok), expert(int(ranked[a])))
-        w = ad.reshape(ad.gather_pairs(gate.combine_weights, tok, slot), (tok.size, 1))
-        out = ad.scatter_add_rows(out, tok, ad.mul(y, w))
-    return out, gate
+    tok, slot = np.divmod(order, k)
+    y = ad.concat_rows([_ffn(ad.take_rows(flat, tok[a:b]), expert(int(ranked[a])))
+                        for a, b in zip(edges, edges[1:])])
+    w = ad.gather_pairs(gate.combine_weights, tok[:, None], slot[:, None])
+    return ad.scatter_add_rows(np.zeros((n, d)), tok, ad.mul(y, w)), gate
 
 
 def _layers(x, params, config: MoeLmConfig, attend, moe_impl: str):

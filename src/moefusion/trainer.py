@@ -75,8 +75,9 @@ def batch_loss(
     denom = float(mask.sum())
     if denom == 0:
         raise ValueError("batch has no live loss positions")
-    picked = ad.gather_last(result.log_probs, targets)
-    ce = ad.scale(ad.neg(ad.sum_(ad.mul(picked, mask))), 1.0 / denom)
+    rows = ad.reshape(result.log_probs, (targets.size, config.vocab_size))
+    picked = ad.gather_pairs(rows, np.arange(targets.size), targets.ravel())
+    ce = ad.scale(ad.sum_(ad.mul(picked, mask.ravel())), -1.0 / denom)
     extras = {
         "ce": float(ce.value),
         "aux": 0.0,

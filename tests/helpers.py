@@ -8,7 +8,7 @@ from moefusion import autodiff as ad
 from moefusion.checkpoint import Checkpoint
 from moefusion.fusion import _floor
 from moefusion.model import LmState, initial_state, lm_score_step
-from moefusion.numerics import log_softmax
+from moefusion.numerics import grad_check, log_softmax
 from moefusion.tokenizer import BOS_ID
 
 
@@ -19,6 +19,29 @@ def record_var_inits(monkeypatch) -> list:
     monkeypatch.setattr(ad.Var, "__init__",
                         lambda self, *a, **k: made.append(1) or init(self, *a, **k))
     return made
+
+
+def fd_check(build, params, tol=1e-6, eps=1e-5):
+    """build(vars) -> Var of any shape; loss = sum(out * fixed projection)."""
+    shapes = {n: np.asarray(v).shape for n, v in params.items()}
+    rng = np.random.default_rng(0xF00D)
+    proj = {}
+
+    def loss_fn(p):
+        vars_ = {n: ad.Var(v) for n, v in p.items()}
+        out = build(vars_)
+        if not proj:
+            proj["r"] = rng.standard_normal(out.value.shape)
+        loss = ad.sum_(ad.mul(out, proj["r"]))
+        ad.backward(loss)
+        grads = {
+            n: (v.grad if v.grad is not None else np.zeros(shapes[n]))
+            for n, v in vars_.items()
+        }
+        return float(loss.value), grads
+
+    rep = grad_check(loss_fn, params, epsilon=eps)
+    assert rep.max_relative_error < tol, rep
 
 
 class TableLm:

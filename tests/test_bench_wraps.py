@@ -3,11 +3,21 @@
 bench/worker.py:install wraps program functions at the attributes where
 their callers look them up. A rename there would otherwise surface only in a
 traced benchmark run; installing and restoring the wrappers here fails first.
+Likewise, an autodiff op the training step stops calling would make its
+per-op metric read 0 rather than fail.
 """
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from moefusion import autodiff
+from moefusion.model import MoeLmConfig, init_params
+from moefusion.packing import pack_batches
+from moefusion.trainer import batch_loss
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,3 +44,24 @@ def test_install_wraps_existing_functions_and_restore_puts_them_back(monkeypatch
         tracer.restore()
     for module, attr, fn in installed:
         assert getattr(module, attr) is fn
+
+
+def test_a_training_step_calls_every_traced_autodiff_op(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    _load(monkeypatch, "spans")
+    ops = _load(monkeypatch, "worker").AUTODIFF_OPS
+    calls = Counter()
+    for op in ops:
+        fn = getattr(autodiff, op)
+        monkeypatch.setattr(autodiff, op,
+                            lambda *a, _op=op, _fn=fn, **k: calls.update([_op]) or _fn(*a, **k))
+    config = MoeLmConfig(num_layers=2, model_dim=16, num_heads=2, head_dim=8,
+                         num_experts=4, experts_per_token=2, vocab_size=32,
+                         max_seq_len=16)
+    rng = np.random.default_rng(0)
+    sentences = [list(rng.integers(4, 32, size=6)) for _ in range(8)]
+    batches, _ = pack_batches(sentences, max_seq_len=16, batch_size=2)
+    params = {n: autodiff.Var(v) for n, v in init_params(config, 0).items()}
+    loss, _ = batch_loss(params, batches[0], config)
+    autodiff.backward(loss)
+    assert {op: calls[op] for op in ops if not calls[op]} == {}

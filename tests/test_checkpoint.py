@@ -138,6 +138,15 @@ WRONG_MANIFESTS = {
     "no_tensors": lambda man: {k: v for k, v in man.items() if k != "tensors"},
     "string_offset": lambda man: {**man, "tensors": {
         n: {**e, "offset": str(e["offset"])} for n, e in man["tensors"].items()}},
+    "entry_without_dtype": lambda man: {**man, "tensors": {
+        n: {k: v for k, v in e.items() if k != "dtype"} for n, e in man["tensors"].items()}},
+    "entry_is_a_list": lambda man: {**man, "tensors": {
+        n: list(e.values()) for n, e in man["tensors"].items()}},
+    "string_shape": lambda man: {**man, "tensors": {
+        n: {**e, "shape": str(e["shape"])} for n, e in man["tensors"].items()}},
+    "string_model_dim": lambda man: {**man, "config": {
+        **man["config"], "model_dim": str(man["config"]["model_dim"])}},
+    "string_training_step": lambda man: {**man, "training_step": "7"},
 }
 
 

@@ -1,11 +1,12 @@
 """Gating, MoE layer semantics, scoring paths, and their agreement."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import record_var_inits
+from helpers import fd_check, record_var_inits
 from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
@@ -164,6 +165,50 @@ class TestMoeLayer:
         out, g = _mixture(x, gate, lambda i: asked.append(i) or experts[i], k, "sparse")
         assert sorted(asked) == sorted(set(g.expert_indices.ravel().tolist()))
         assert np.array_equal(out, moe_layer_forward(x, gate, experts, k))
+
+    def test_one_combine_matches_per_group_mixing(self):
+        # Expert 2 serves one (token, slot), expert 4 none. The combine must
+        # equal mixing each expert group into the output in turn, bit for
+        # bit (k=3, so the order of a token's terms matters), and its
+        # gradients must match finite differences.
+        d, f, k = 5, 8, 3
+        x = np.array([[3.0, 2.0, 0.0, 1.0, -1.0],
+                      [2.0, 3.0, -1.0, 1.0, 0.0],
+                      [2.0, 0.0, 3.0, 1.0, -1.0]])
+        gate = np.eye(d) + 0.1 * np.random.default_rng(11).standard_normal((d, d))
+        experts = make_experts(d, f, d, seed=12)
+        g = gate_topk(x, gate, k)
+        assert g.expert_indices.tolist() == [[0, 1, 3], [1, 0, 3], [2, 0, 3]]
+
+        ref = np.zeros_like(x)
+        for e, p in enumerate(experts):
+            tok, slot = np.nonzero(g.expert_indices == e)
+            if tok.size:
+                y = _ffn(x[tok], p)
+                np.add.at(ref, tok, y * g.combine_weights[tok, slot][:, None])
+        assert np.array_equal(moe_layer_forward(x, gate, experts, k), ref)
+
+        params = {"x": x, "gate": gate}
+        for e, p in enumerate(experts):
+            params.update({f"{e}.{n}": getattr(p, n) for n in ("w1", "b1", "w2", "b2")})
+        fd_check(lambda v: _mixture(
+            v["x"], v["gate"],
+            lambda e: FfnParams(*(v[f"{e}.{n}"] for n in ("w1", "b1", "w2", "b2"))),
+            k, "sparse")[0], params)
+
+    def test_combine_runs_once_per_layer(self, monkeypatch):
+        d, f, e, k = 8, 16, 64, 2
+        experts = make_experts(d, f, e, seed=9)
+        rng = np.random.default_rng(10)
+        x, gate = ad.Var(rng.standard_normal((5, d))), rng.standard_normal((d, e))
+        ops, calls = ("gather_pairs", "mul", "scatter_add_rows", "reshape"), Counter()
+        for op in ops:
+            fn = getattr(ad, op)
+            monkeypatch.setattr(ad, op, lambda *a, _op=op, _fn=fn: calls.update([_op]) or _fn(*a))
+        _, g = _mixture(x, gate, experts.__getitem__, k, "sparse")
+        assert len(set(g.expert_indices.ravel().tolist())) > 2
+        # one gather_pairs is the router's top-k pick
+        assert calls == {"gather_pairs": 2, "mul": 1, "scatter_add_rows": 1}
 
     @pytest.mark.parametrize("e", [2, 4, 16])
     def test_decode_step_mixture_matches_layer(self, e):
