@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     CheckpointShapeError,
     CheckpointVersionError,
+    ConfigError,
     CorruptCheckpointError,
 )
 from .model import MoeLmConfig, param_shapes
@@ -125,7 +126,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if key in known:
             _typed(f"config {key}", val, type(known[key].default))
     step = _typed("training_step", manifest.get("training_step", 0), int)
-    config = MoeLmConfig.from_dict(manifest["config"])
+    try:
+        config = MoeLmConfig.from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise CorruptCheckpointError(f"manifest config: {exc}") from None
     raw = wpath.read_bytes()
     declared = manifest.get("total_bytes")
     if declared is not None and declared != len(raw):

@@ -3,7 +3,8 @@
 Hypotheses are scored as combined = e2e_logprob + lam * lm_logprob. Both
 inputs come in blocks, one per beam step or oracle level: the posterior
 source's rows(prefixes, t), and the LM scorer's start_rows once per search
-then advance_rows (the scorer protocol, see CheckpointLmScorer).
+then advance_rows (the scorer protocol, see CheckpointLmScorer). An LM block
+is a value: advance_rows returns a new one and leaves its input as it was.
 LatticeSource serves precomputed, prefix-independent per-step
 log-distributions. max_len counts content tokens; a hypothesis reaching it
 may only extend with EOS, which makes the beam's search space identical to
@@ -137,13 +138,12 @@ class LatticeSource:
 class CheckpointLmScorer:
     """The LM scorer over a checkpoint, and the scorer protocol.
 
-    start_rows(length) begins a search of at most `length` positions (BOS
-    included) and gives BOS's one-row block and its (V,) row;
-    advance_rows(block, parents, tokens) gives the next block, row r
-    extending row parents[r] by tokens[r], and its (R, V) rows. A block is
-    valid only as the next call's input. Here BOS runs lm_score_step, and
-    advance_rows runs lm_score_rows between two KV blocks that alternate as
-    its destination, each grown only when a step needs more rows than it has.
+    start_rows() gives BOS's one-row block and its (V,) row;
+    advance_rows(block, parents, tokens) gives a new block, row r extending
+    row parents[r] of block by tokens[r], and its (R, V) rows. A block is a
+    value: no call changes it, so any block may be advanced again. Here BOS
+    runs lm_score_step and advance_rows runs lm_score_rows; the scorer keeps
+    no blocks.
     """
 
     def __init__(self, ckpt: Checkpoint):
@@ -151,17 +151,12 @@ class CheckpointLmScorer:
         self.config = ckpt.config
         self.vocab_size = ckpt.config.vocab_size
 
-    def start_rows(self, length: int) -> tuple[LmState, np.ndarray]:
-        self._length, self._blocks = length, [initial_state(self.config, 0)] * 2
+    def start_rows(self) -> tuple[LmState, np.ndarray]:
         return lm_score_step(self._params, self.config, initial_state(self.config), BOS_ID)
 
     def advance_rows(self, block: LmState, parents: np.ndarray,
                      tokens: np.ndarray) -> tuple[LmState, np.ndarray]:
-        i = int(block is self._blocks[0])
-        if self._blocks[i].keys[0].shape[0] < len(tokens):
-            self._blocks[i] = initial_state(self.config, len(tokens), self._length)
-        dst = self._blocks[i]
-        return dst, lm_score_rows(self._params, self.config, block, dst, parents, tokens)
+        return lm_score_rows(self._params, self.config, block, parents, tokens)
 
 
 def fuse(e2e_logprob: float, lm_logprob: float, lam: float) -> float:
@@ -218,7 +213,7 @@ def beam_search_fusion(
 
     block, root = None, np.zeros((1, v))
     if lm_scorer is not None:
-        block, dist0 = lm_scorer.start_rows(max(limits, default=0) + 1)
+        block, dist0 = lm_scorer.start_rows()
         root = _floor(dist0)[None]
     # A beam is its lex-sorted token prefixes, a (B, 3) array of their
     # (e2e, lm, combined) scores, each prefix's row in the LM block and the
@@ -305,7 +300,7 @@ def exhaustive_oracle(
     call scores all their non-EOS children. Memory is the widest level,
     (V-1)^max_len prefixes. Refuses, before any scoring, when |V|^max_len
     exceeds 1e6 or that level's float64 LM rows and (for a checkpoint) KV
-    block, as initial_state lays it out, exceed ORACLE_LM_BYTES.
+    block of max_len + 1 positions exceed ORACLE_LM_BYTES.
     """
     lm_scorer = _wrap_lm(lm)
     _check_vocab(source, lm_scorer)
@@ -326,7 +321,7 @@ def exhaustive_oracle(
     prefixes, sums = [()], np.zeros((1, 2))  # each prefix's (e2e, lm) sums
     lm_rows = np.broadcast_to(0.0, (1, v))
     if lm_scorer is not None:
-        block, dist0 = lm_scorer.start_rows(eff_max + 1)
+        block, dist0 = lm_scorer.start_rows()
         lm_rows = _floor(dist0)[None]
     level_bests = []
     for d in range(eff_max + 1):

@@ -12,8 +12,9 @@ in how attention finds its keys and values:
     scoring) attends within each row of a (B, T) batch under a causal,
     segment-isolating mask,
   * lm_score_rows: one decoding step for a block of R rows attends over
-    per-layer KV blocks, caching each row's new key and value;
-    lm_score_step is its one-row call.
+    its parents' cached keys and values plus its own, and returns them as
+    a new KV block, leaving the old one as it was; lm_score_step is its
+    one-row call.
 The two agree to within 1e-5 per log-probability; tests enforce this. On
 plain arrays an autodiff op records no graph and returns an ndarray, so the
 decode step runs the same layers (ad.layer_norm, _ffn, the mixture
@@ -128,11 +129,15 @@ class FfnParams:
 
 @dataclass
 class LmState:
-    """Per-layer (rows, H, length, dh) KV caches: row r's are [r, :, :position]."""
+    """A KV block: per layer, the (R, H, position, dh) keys and values of R
+    rows. No call writes a block, so any block may be extended again."""
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
-    position: int = 0
+
+    @property
+    def position(self) -> int:
+        return self.keys[0].shape[2]
 
 
 @dataclass
@@ -439,61 +444,53 @@ def lm_forward(
     return build_forward(params, ids[None, :], config).log_probs[0]
 
 
-def initial_state(config: MoeLmConfig, rows: int = 1, length: int = 0) -> LmState:
-    """An empty KV block of `rows` rows with room for `length` positions."""
-    shape = (rows, config.num_heads, length, config.head_dim)
+def initial_state(config: MoeLmConfig) -> LmState:
+    """The empty one-row KV block that BOS extends."""
+    shape = (1, config.num_heads, 0, config.head_dim)
     return LmState(keys=[np.zeros(shape) for _ in range(config.num_layers)],
                    values=[np.zeros(shape) for _ in range(config.num_layers)])
 
 
-def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, src: LmState,
-                  dst: LmState, parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """One decoding step for R rows; returns their (R, V) log-distributions.
+def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, block: LmState,
+                  parents: np.ndarray, tokens: np.ndarray) -> tuple[LmState, np.ndarray]:
+    """One decoding step for R rows; returns their new KV block and (R, V)
+    log-distributions.
 
     The decoder stack of build_forward with its attention reading a KV block:
-    row r extends row parents[r] of the block src by tokens[r]. Each layer
-    gathers the parents' cached keys and values into rows 0..R-1 of dst (a
-    block apart from src, with room for R rows and src.position + 1
-    positions), writes the new position's and attends over them. BLAS rounds
-    one row (gemv) unlike a block (gemm), so a lone row runs as two equal
-    rows (here, and an expert's in _ffn): a row's value then does not depend,
-    bit for bit, on the other rows, given that gemm rounds a row alike for
-    any row count >= 2 (the lockstep tests check).
+    row r extends row parents[r] of block by tokens[r]. Each layer gathers
+    the parents' cached keys and values, joins the new position's into a
+    fresh (R, H, position + 1, dh) pair and attends over it; block is only
+    read. BLAS rounds one row (gemv) unlike a block (gemm), so a lone row
+    runs as two equal rows (here, and an expert's in _ffn): a row's value
+    then does not depend, bit for bit, on the other rows, given that gemm
+    rounds a row alike for any row count >= 2 (the lockstep tests check).
     """
-    p = src.position
+    p = block.position
     if p >= config.max_seq_len:
         raise ValueError(f"context already at max_seq_len {config.max_seq_len}")
     parents, tokens = np.asarray(parents), np.asarray(tokens)
     if tokens.min() < 0 or tokens.max() >= config.vocab_size:
         raise ValueError(f"token ids {tokens.min()}..{tokens.max()} out of range")
-    if parents.shape != tokens.shape or not 0 <= parents.min() <= parents.max() < len(src.keys[0]):
+    if parents.shape != tokens.shape or not 0 <= parents.min() <= parents.max() < len(block.keys[0]):
         raise ValueError(f"parents {parents.tolist()} are not one source row per token")
-    if any(map(np.may_share_memory, src.keys + src.values, dst.keys + dst.values)):
-        raise ValueError("source and destination KV blocks overlap")
     r, h, dh = tokens.size, config.num_heads, config.head_dim
     pad = [0, 0] if r == 1 else slice(None)
+    new = LmState(keys=[], values=[])
 
     def attend(i, q, k, v):
-        keys, values = dst.keys[i][:r, :, :p + 1], dst.values[i][:r, :, :p + 1]
-        # parents are in range and the blocks apart, so mode="clip" clips
-        # nothing and writes straight into out ("raise" copies via a buffer).
-        np.take(src.keys[i][:, :, :p], parents, axis=0, out=keys[:, :, :p], mode="clip")
-        np.take(src.values[i][:, :, :p], parents, axis=0, out=values[:, :, :p], mode="clip")
-        keys[:, :, p] = k[:r].reshape(r, h, dh)
-        values[:, :, p] = v[:r].reshape(r, h, dh)
-        ctx = _attention(q[:r].reshape(r, h, 1, dh), keys, values, 0.0)
+        for cache, old, x in ((new.keys, block.keys, k), (new.values, block.values, v)):
+            cache.append(np.concatenate([old[i][parents], x[:r].reshape(r, h, 1, dh)], axis=2))
+        ctx = _attention(q[:r].reshape(r, h, 1, dh), new.keys[i], new.values[i], 0.0)
         return ctx.reshape(r, config.model_dim)[pad]
 
     pe = positional_table(config.max_seq_len, config.model_dim)
     x, _ = _layers(params["embed.weight"][tokens[pad]] + pe[p], params, config, attend, "sparse")
-    dst.position = p + 1
-    return _output_head(x, params, config)[:r]
+    return new, _output_head(x, params, config)[:r]
 
 
 def lm_score_step(params: Mapping[str, np.ndarray], config: MoeLmConfig, state: LmState,
                   next_token: int) -> tuple[LmState, np.ndarray]:
     """lm_score_rows on one row: the successor state and the (V,) row after
     next_token. The input state is not mutated, so states may branch."""
-    new_state = initial_state(config, rows=1, length=state.position + 1)
-    rows = lm_score_rows(params, config, state, new_state, [0], [next_token])
+    new_state, rows = lm_score_rows(params, config, state, [0], [next_token])
     return new_state, rows[0]

@@ -50,15 +50,14 @@ def pack_batches(
     max_seq_len: int,
     batch_size: int,
     packing_factor: int = 4,
-    seed: int | None = 0,
+    seed: int = 0,
     shuffle: bool = True,
 ) -> tuple[list[PackedBatch], PackStats]:
     """Pack sentences into batches of (batch_size, max_seq_len) rows.
 
-    Greedy first-fit in (shuffled) corpus order; a sentence longer than
-    max_seq_len - 2 is truncated and counted. The trailing partial row/batch
-    is padded out, never dropped. seed=None or shuffle=False keeps corpus
-    order.
+    Greedy first-fit in corpus order, shuffled by seed unless shuffle is
+    False; a sentence longer than max_seq_len - 2 is truncated and counted.
+    The trailing partial row/batch is padded out, never dropped.
     """
     if max_seq_len < 3:
         raise ValueError("max_seq_len must fit at least BOS, one token, EOS")
@@ -69,7 +68,7 @@ def pack_batches(
         raise ValueError("no sentences to pack")
 
     stats = PackStats(sentences=len(seqs))
-    if shuffle and seed is not None:
+    if shuffle:
         order = np.random.default_rng([seed, 0x9ACC]).permutation(len(seqs))
         seqs = [seqs[i] for i in order]
 

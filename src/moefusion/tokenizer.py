@@ -76,7 +76,7 @@ class Vocab:
         if not lines:
             raise ValueError(f"{path}: empty vocab file")
         head = lines[0].split(" ")
-        if len(head) != 2 or head[0] != _HEADER_MAGIC:
+        if len(head) != 2 or head[0] != _HEADER_MAGIC or not head[1].isdecimal():
             raise ValueError(f"{path}: bad vocab header {lines[0]!r}")
         declared = int(head[1])
         pieces = lines[1:]

@@ -62,7 +62,7 @@ class TableLm:
         return cls(log_softmax(rng.standard_normal((n_states, vocab_size)) * scale,
                                axis=-1))
 
-    def start_rows(self, length: int):
+    def start_rows(self):
         return np.zeros(1, dtype=np.int64), self.rows[0]
 
     def advance_rows(self, block, parents, tokens):
@@ -125,9 +125,9 @@ class CountingLm:
         self.blocks = 0
         self.advanced: list[tuple[int, ...]] = []
 
-    def start_rows(self, length: int):
+    def start_rows(self):
         self.starts += 1
-        block, dist = self.inner.start_rows(length)
+        block, dist = self.inner.start_rows()
         return ([()], block), dist
 
     def advance_rows(self, block, parents, tokens):
@@ -145,7 +145,7 @@ class UniformLm:
         self.vocab_size = vocab_size
         self._row = np.full(vocab_size, -np.log(vocab_size))
 
-    def start_rows(self, length: int):
+    def start_rows(self):
         return None, self._row
 
     def advance_rows(self, block, parents, tokens):

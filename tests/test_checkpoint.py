@@ -147,6 +147,9 @@ WRONG_MANIFESTS = {
     "string_model_dim": lambda man: {**man, "config": {
         **man["config"], "model_dim": str(man["config"]["model_dim"])}},
     "string_training_step": lambda man: {**man, "training_step": "7"},
+    "unknown_config_key": lambda man: {**man, "config": {**man["config"], "bogus": 1}},
+    "heads_times_head_dim_not_model_dim": lambda man: {**man, "config": {
+        **man["config"], "num_heads": 3, "head_dim": 4, "model_dim": 8}},
 }
 
 

@@ -18,7 +18,7 @@ from moefusion.fusion import (
     _floor, beam_search_fusion, decode_utterances, exhaustive_oracle, fuse,
     load_lattice, read_decodes, save_lattice, write_decodes,
 )
-from moefusion.model import MoeLmConfig, lm_forward
+from moefusion.model import LmState, MoeLmConfig, lm_forward
 from moefusion.tokenizer import BOS_ID, EOS_ID
 from moefusion.trainer import train
 
@@ -261,8 +261,8 @@ class NanLm:
         self.vocab_size = inner.vocab_size
         self.advanced = 0
 
-    def start_rows(self, length):
-        return self.inner.start_rows(length)
+    def start_rows(self):
+        return self.inner.start_rows()
 
     def advance_rows(self, block, parents, tokens):
         block, rows = self.inner.advance_rows(block, parents, tokens)
@@ -354,7 +354,7 @@ class TestModelSource:
         scorer = CheckpointLmScorer(trained)
         ids = [4, 5, 6, 7]
         rows = lm_forward(trained.tensors, [BOS_ID] + ids, trained.config)
-        block, dist = scorer.start_rows(len(ids) + 1)
+        block, dist = scorer.start_rows()
         assert np.abs(dist - rows[0]).max() < 1e-6
         for i, tok in enumerate(ids):
             block, dist = scorer.advance_rows(block, np.array([0]), np.array([tok]))
@@ -370,23 +370,33 @@ class TestModelSource:
 
 def score_alone(scorer, prefix):
     """The row after `prefix`, scored in one-row blocks from a fresh start."""
-    block, row = scorer.start_rows(len(prefix) + 1)
+    block, row = scorer.start_rows()
     for tok in prefix:
         block, rows = scorer.advance_rows(block, np.array([0]), np.array([tok]))
         row = rows[0]
     return row
 
 
+SCORERS = {"checkpoint": CheckpointLmScorer,
+           "table": lambda ckpt: TableLm.random(8, 7, seed=80),
+           "uniform": lambda ckpt: UniformLm(8)}
+
+
+def block_arrays(block):
+    """The arrays a scorer's block holds (a TableLm block is one array)."""
+    if isinstance(block, LmState):
+        return block.keys + block.values
+    return [] if block is None else [block]
+
+
 class TestScorerProtocol:
     """The two block calls every scorer implements, checked alike."""
 
-    @pytest.mark.parametrize("kind", ["checkpoint", "table", "uniform"])
+    @pytest.mark.parametrize("kind", sorted(SCORERS))
     def test_block_rows_equal_children_scored_alone(self, kind, trained):
-        make = {"checkpoint": lambda: CheckpointLmScorer(trained),
-                "table": lambda: TableLm.random(8, 7, seed=80),
-                "uniform": lambda: UniformLm(8)}[kind]
+        make = lambda: SCORERS[kind](trained)  # noqa: E731
         scorer, tol = make(), 1e-12 if kind == "checkpoint" else 0.0
-        block, _ = scorer.start_rows(4)
+        block, _ = scorer.start_rows()
         prefixes = [()]
         # one parent to four rows, then parents that repeat (3), skip (2)
         # and come out of order, then a block of one row
@@ -399,6 +409,22 @@ class TestScorerProtocol:
             prefixes = [prefixes[p] + (t,) for p, t in zip(parents.tolist(), tokens.tolist())]
             for prefix, row in zip(prefixes, rows):
                 assert np.abs(row - score_alone(make(), prefix)).max() <= tol, prefix
+
+    @pytest.mark.parametrize("kind", sorted(SCORERS))
+    def test_blocks_are_values(self, kind, trained):
+        """Advancing never changes a block: b1, advanced again after b2 and
+        b3 exist, gives b2's rows bit for bit and still holds what it held."""
+        scorer = SCORERS[kind](trained)
+        b0, _ = scorer.start_rows()
+        b1, _ = scorer.advance_rows(b0, np.array([0, 0]), np.array([4, 5]))
+        held = [a.copy() for a in block_arrays(b1)]
+        step = np.array([1, 0, 1]), np.array([6, 7, 4])
+        b2, rows = scorer.advance_rows(b1, *step)
+        scorer.advance_rows(b2, np.array([2, 0]), np.array([5, 6]))  # b3
+        _, again = scorer.advance_rows(b1, *step)
+        assert np.array_equal(again, rows)
+        assert len(held) == len(block_arrays(b1))
+        assert all(np.array_equal(a, b) for a, b in zip(block_arrays(b1), held))
 
     def test_oracle_scores_one_block_per_level_in_lex_order(self):
         v, max_len = 6, 3

@@ -10,7 +10,7 @@ from helpers import fd_check, record_var_inits
 from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
-    FfnParams, LmState, MoeLmConfig, _ffn, _mixture, _segment_positions, build_forward,
+    FfnParams, MoeLmConfig, _ffn, _mixture, _segment_positions, build_forward,
     gate_topk, init_params, initial_state, lm_forward, lm_score_rows, lm_score_step,
     moe_layer_forward, param_shapes, positional_table,
 )
@@ -21,17 +21,16 @@ def block_walk(params, config, seqs):
     """Score equal-length rows of tokens with one lm_score_rows call per step.
 
     Row r of the block is seqs[r]; returns the final block and the (T, R, V)
-    rows, each step's block written into one of two alternating blocks.
+    rows. The first step extends the one-row empty block into R rows.
     """
     seqs = np.asarray(seqs)
     r, t = seqs.shape
-    blocks = [initial_state(config, r, t) for _ in range(2)]
-    src, out = initial_state(config, r), []
+    block, out = initial_state(config), []
     for step in range(t):
-        dst = blocks[step % 2]
-        out.append(lm_score_rows(params, config, src, dst, np.arange(r), seqs[:, step]))
-        src = dst
-    return src, np.stack(out)
+        parents = np.arange(r) if step else np.zeros(r, dtype=np.int64)
+        block, rows = lm_score_rows(params, config, block, parents, seqs[:, step])
+        out.append(rows)
+    return block, np.stack(out)
 
 
 def make_experts(d, f, n, seed=0):
@@ -431,24 +430,16 @@ class TestScoreStep:
             lm_score_step(params, tiny_config, state, 4)
         full, _ = block_walk(params, tiny_config, np.full((3, tiny_config.max_seq_len), 4))
         with pytest.raises(ValueError, match="max_seq_len"):
-            lm_score_rows(params, tiny_config, full, initial_state(tiny_config, 3, 17),
-                          np.arange(3), np.full(3, 4))
+            lm_score_rows(params, tiny_config, full, np.arange(3), np.full(3, 4))
 
-    def test_bad_parents_and_overlapping_blocks_raise(self, tiny_config):
+    def test_bad_parents_raise(self, tiny_config):
         params = init_params(tiny_config, 0)
-        block = initial_state(tiny_config, 3, 4)
-        lm_score_rows(params, tiny_config, initial_state(tiny_config), block,
-                      np.zeros(3, dtype=np.int64), np.full(3, BOS_ID))
+        block, _ = lm_score_rows(params, tiny_config, initial_state(tiny_config),
+                                 np.zeros(3, dtype=np.int64), np.full(3, BOS_ID))
         before = [a.copy() for a in block.keys + block.values]
         for parents in ([0, -1, 1], [0, 3, 1], [0, 1]):
             with pytest.raises(ValueError, match="parents"):
-                lm_score_rows(params, tiny_config, block, initial_state(tiny_config, 3, 4),
-                              np.array(parents), np.full(3, 4))
-        view = LmState(keys=[a[1:] for a in block.keys],
-                       values=[a[1:] for a in block.values], position=1)
-        for dst in (block, view):
-            with pytest.raises(ValueError, match="overlap"):
-                lm_score_rows(params, tiny_config, block, dst, np.arange(2), np.full(2, 4))
+                lm_score_rows(params, tiny_config, block, np.array(parents), np.full(3, 4))
         assert all(np.array_equal(a, b) for a, b in zip(block.keys + block.values, before))
 
     # One row, a beam's worth with repeated parents, and more rows than a
@@ -467,8 +458,7 @@ class TestScoreStep:
             states.append(state)
         parents = rng.integers(0, 4, size=n_rows)
         tokens = rng.integers(0, 32, size=n_rows)
-        dst = initial_state(tiny_config, n_rows, 6)
-        got = lm_score_rows(params, tiny_config, src, dst, parents, tokens)
+        dst, got = lm_score_rows(params, tiny_config, src, parents, tokens)
         assert got.shape == (n_rows, tiny_config.vocab_size) and dst.position == 6
         for r, (q, tok) in enumerate(zip(parents, tokens)):
             state, want = lm_score_step(params, tiny_config, states[q], tok)
@@ -478,8 +468,7 @@ class TestScoreStep:
                 assert np.abs(dst.values[i][r] - state.values[i][0]).max() <= 1e-12
         # A row's value does not depend on the rest of its block.
         sub = rng.permutation(n_rows)[: max(1, n_rows // 3)]
-        again = lm_score_rows(params, tiny_config, src, initial_state(tiny_config, n_rows, 6),
-                              parents[sub], tokens[sub])
+        _, again = lm_score_rows(params, tiny_config, src, parents[sub], tokens[sub])
         assert np.array_equal(again, got[sub])
 
 

@@ -129,6 +129,12 @@ class TestVocabFile:
         with pytest.raises(ValueError, match="header"):
             Vocab.load(p)
 
+    def test_non_numeric_count_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.wpv"
+        p.write_text("wpv1 abc\n<pad>\n<s>\n</s>\n<unk>\n")
+        with pytest.raises(ValueError, match=r"bad\.wpv: bad vocab header 'wpv1 abc'"):
+            Vocab.load(p)
+
     def test_count_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.wpv"
         p.write_text("wpv1 6\n<pad>\n<s>\n</s>\n<unk>\na\n")
