@@ -5,7 +5,7 @@ from .adafactor import AdafactorHyper, AdafactorState, adafactor_step
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .fusion import (
     FusionConfig, Hypothesis, LatticeSource,
-    beam_search_fusion, exhaustive_oracle, fuse,
+    beam_search_fusion, exhaustive_oracle,
     load_lattice, save_lattice,
 )
 from .model import (

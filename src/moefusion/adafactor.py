@@ -18,10 +18,11 @@ import numpy as np
 from .errors import ConfigError
 from .numerics import check_finite
 
-__all__ = ["AdafactorHyper", "AdafactorState", "adafactor_step"]
+__all__ = ["LR_SCHEDULES", "AdafactorHyper", "AdafactorState", "adafactor_step"]
 
 _EPS1 = 1e-30
 _DECAY_EXPONENT = 0.8
+LR_SCHEDULES = ("inverse_sqrt", "constant")
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,11 @@ class AdafactorHyper:
     def __post_init__(self):
         if not 0.0 < self.beta2 < 1.0:
             raise ConfigError(f"beta2 must be in (0, 1), got {self.beta2}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.clip_threshold <= 0:
-            raise ConfigError("clip_threshold must be positive")
-        if self.lr_schedule not in ("inverse_sqrt", "constant"):
+        for name in ("learning_rate", "clip_threshold"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {getattr(self, name)}")
+        if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.warmup_steps < 1:
             raise ConfigError("warmup_steps must be >= 1")

@@ -9,7 +9,7 @@ sorted-name order. A float64 checkpoint round-trips bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ class Checkpoint:
     config: MoeLmConfig
     tensors: dict[str, np.ndarray]
     training_step: int = 0
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         expected = param_shapes(self.config)
@@ -86,7 +85,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         offset += len(raw)
         blobs.append(raw)
     manifest = {
-        "format_version": ckpt.format_version,
+        "format_version": FORMAT_VERSION,
         "training_step": ckpt.training_step,
         "config": ckpt.config.to_dict(),
         "tensors": entries,
@@ -168,9 +167,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if missing:
         raise CheckpointShapeError(f"manifest missing tensors: {sorted(missing)[:3]}")
 
-    return Checkpoint(
-        config=config,
-        tensors=tensors,
-        training_step=step,
-        format_version=int(version),
-    )
+    return Checkpoint(config=config, tensors=tensors, training_step=step)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .accounting import count_params_flops
-from .adafactor import AdafactorHyper
+from .adafactor import LR_SCHEDULES, AdafactorHyper
 from .checkpoint import load_checkpoint
 from .errors import UsageError
 from .fusion import (
@@ -82,51 +82,46 @@ def cmd_train_tokenizer(args) -> int:
     return 0
 
 
+# train-lm settings: key -> (type, default). Each is a flag (--key, dashed) and
+# a --config key; a flag overrides the file, which overrides the default.
+_TRAIN_SETTINGS = {
+    "layers": (int, 2), "dim": (int, 64), "heads": (int, 2), "head_dim": (int, 32),
+    "ffn_mult": (int, 4), "experts": (int, 4), "experts_per_token": (int, 2),
+    "max_seq_len": (int, 128), "aux_loss_weight": (float, 0.01), "untied": (bool, False),
+    "lr": (float, 0.05), "warmup": (int, 100), "lr_schedule": (str, "inverse_sqrt"),
+    "steps": (int, 200), "batch_size": (int, 8), "packing_factor": (int, 4),
+}
+# Model-dimension flag (argparse dest) -> MoeLmConfig field, for train-lm and flops.
+_MODEL_FLAGS = {
+    "layers": "num_layers", "dim": "model_dim", "heads": "num_heads", "head_dim": "head_dim",
+    "ffn_mult": "ffn_multiplier", "experts": "num_experts",
+    "experts_per_token": "experts_per_token", "max_seq_len": "max_seq_len",
+}
+
+
 def cmd_train_lm(args) -> int:
     manifest = _require_file(args.manifest, "corpus manifest")
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     file_cfg = _kv_config(_require_file(args.config, "config file")) if args.config else {}
-    asked: set[str] = set()
-
-    def r(key, cast, default):
-        asked.add(key)
-        return _resolve(args, key, cast, default, file_cfg)
-
-    model_kw = dict(
-        num_layers=r("layers", int, 2),
-        model_dim=r("dim", int, 64),
-        num_heads=r("heads", int, 2),
-        head_dim=r("head_dim", int, 32),
-        ffn_multiplier=r("ffn_mult", int, 4),
-        num_experts=r("experts", int, 4),
-        experts_per_token=r("experts_per_token", int, 2),
-        max_seq_len=r("max_seq_len", int, 128),
-        aux_loss_weight=r("aux_loss_weight", float, 0.01),
-        tied_embeddings=not r("untied", bool, False),
-    )
-    hyper_kw = dict(
-        learning_rate=r("lr", float, 0.05),
-        warmup_steps=r("warmup", int, 100),
-        lr_schedule=r("lr_schedule", str, "inverse_sqrt"),
-    )
-    steps = r("steps", int, 200)
-    batch_size = r("batch_size", int, 8)
-    packing_factor = r("packing_factor", int, 4)
-    unknown = sorted(set(file_cfg) - asked)
+    val = {key: _resolve(args, key, cast, default, file_cfg)
+           for key, (cast, default) in _TRAIN_SETTINGS.items()}
+    unknown = sorted(set(file_cfg) - set(_TRAIN_SETTINGS))
     if unknown:
         raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
-    config = MoeLmConfig(vocab_size=vocab.size, **model_kw)
-    hyper = AdafactorHyper(**hyper_kw)
+    config = MoeLmConfig(
+        vocab_size=vocab.size, aux_loss_weight=val["aux_loss_weight"],
+        tied_embeddings=not val["untied"],
+        **{field: val[key] for key, field in _MODEL_FLAGS.items()},
+    )
+    hyper = AdafactorHyper(learning_rate=val["lr"], warmup_steps=val["warmup"],
+                           lr_schedule=val["lr_schedule"])
 
-    sentences = [
-        encode(text, vocab, language_tag=loc)
-        for loc, text in read_corpus(manifest)
-    ]
+    sentences = [encode(text, vocab) for _, text in read_corpus(manifest)]
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt, log = train(
-        sentences, config, hyper, steps=steps, seed=args.seed,
-        batch_size=batch_size, packing_factor=packing_factor,
+        sentences, config, hyper, steps=val["steps"], seed=args.seed,
+        batch_size=val["batch_size"], packing_factor=val["packing_factor"],
         checkpoint_dir=out_dir,
     )
     log.write_csv(out_dir / "train_log.csv")
@@ -228,17 +223,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# flops flag (argparse dest) -> MoeLmConfig field; the field's default is the flag's.
-_FLOPS_FLAGS = {
-    "layers": "num_layers", "dim": "model_dim", "heads": "num_heads", "head_dim": "head_dim",
-    "ffn_mult": "ffn_multiplier", "experts": "num_experts",
-    "experts_per_token": "experts_per_token", "vocab_size": "vocab_size",
-    "max_seq_len": "max_seq_len",
-}
-
-
 def cmd_flops(args) -> int:
-    config = MoeLmConfig(**{field: getattr(args, dest) for dest, field in _FLOPS_FLAGS.items()})
+    config = MoeLmConfig(vocab_size=args.vocab_size,
+                         **{field: getattr(args, key) for key, field in _MODEL_FLAGS.items()})
     report = count_params_flops(config, context_len=args.context_len)
     for line in report.lines():
         print(line)
@@ -318,16 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--config", help="key=value file; flags override it")
     p.add_argument("--seed", type=int, default=0)
-    for flag, typ in [
-        ("--layers", int), ("--dim", int), ("--heads", int), ("--head-dim", int),
-        ("--ffn-mult", int), ("--experts", int), ("--experts-per-token", int),
-        ("--max-seq-len", int), ("--aux-loss-weight", float),
-        ("--lr", float), ("--warmup", int), ("--steps", int),
-        ("--batch-size", int), ("--packing-factor", int),
-    ]:
-        p.add_argument(flag, type=typ, default=None)
-    p.add_argument("--lr-schedule", choices=["inverse_sqrt", "constant"], default=None)
-    p.add_argument("--untied", action="store_const", const=True, default=None)
+    for key, (typ, _) in _TRAIN_SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            p.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            p.add_argument(flag, type=typ, default=None,
+                           choices=LR_SCHEDULES if key == "lr_schedule" else None)
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("decode", help="shallow-fusion beam decode lattices")
@@ -351,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="closed-form parameter and FLOP report")
     full_scale = MoeLmConfig()
-    for dest, field in _FLOPS_FLAGS.items():
-        p.add_argument("--" + dest.replace("_", "-"), type=int, default=getattr(full_scale, field))
+    for key, field in {**_MODEL_FLAGS, "vocab_size": "vocab_size"}.items():
+        p.add_argument("--" + key.replace("_", "-"), type=int, default=getattr(full_scale, field))
     p.add_argument("--context-len", type=int, default=None)
     p.set_defaults(func=cmd_flops)
 

@@ -42,7 +42,7 @@ from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 __all__ = [
     "LOG_FLOOR", "ORACLE_LM_BYTES", "FusionConfig", "Hypothesis",
     "LatticeSource", "CheckpointLmScorer",
-    "fuse", "beam_search_fusion", "exhaustive_oracle",
+    "beam_search_fusion", "exhaustive_oracle",
     "load_lattice", "save_lattice", "DecodeRow", "decode_utterances",
     "write_decodes", "read_decodes",
 ]
@@ -157,15 +157,6 @@ class CheckpointLmScorer:
     def advance_rows(self, block: LmState, parents: np.ndarray,
                      tokens: np.ndarray) -> tuple[LmState, np.ndarray]:
         return lm_score_rows(self._params, self.config, block, parents, tokens)
-
-
-def fuse(e2e_logprob: float, lm_logprob: float, lam: float) -> float:
-    """Combined score e2e + lam * lm; inputs must be finite, lam >= 0."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if not (np.isfinite(e2e_logprob) and np.isfinite(lm_logprob)):
-        raise NumericError("cannot fuse non-finite log-probabilities")
-    return float(e2e_logprob) + float(lam) * float(lm_logprob)
 
 
 def _wrap_lm(lm):
@@ -300,8 +291,10 @@ def exhaustive_oracle(
     call scores all their non-EOS children. Memory is the widest level,
     (V-1)^max_len prefixes. Refuses, before any scoring, when |V|^max_len
     exceeds 1e6 or that level's float64 LM rows and (for a checkpoint) KV
-    block of max_len + 1 positions exceed ORACLE_LM_BYTES.
+    block of max_len + 1 positions exceed ORACLE_LM_BYTES, or when lam breaks
+    FusionConfig's rule.
     """
+    FusionConfig(lam=lam)
     lm_scorer = _wrap_lm(lm)
     _check_vocab(source, lm_scorer)
     v = source.vocab_size
@@ -330,7 +323,7 @@ def exhaustive_oracle(
         # A level's first best is its lex-smallest, the prefixes being sorted.
         i = int(np.argmax(ends[:, 0] + lam * ends[:, 1]))
         e2e, lm_lp = ends[i].tolist()
-        level_bests.append(Hypothesis(prefixes[i] + (EOS_ID,), e2e, lm_lp, fuse(e2e, lm_lp, lam)))
+        level_bests.append(Hypothesis(prefixes[i] + (EOS_ID,), e2e, lm_lp, e2e + lam * lm_lp))
         if d == eff_max:
             return min(level_bests, key=lambda h: (-h.combined, h.tokens))
         parents = np.repeat(np.arange(len(prefixes)), content.size)

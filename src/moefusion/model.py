@@ -81,8 +81,9 @@ class MoeLmConfig:
         for name in ("num_layers", "model_dim", "vocab_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.aux_loss_weight < 0:
-            raise ConfigError("aux_loss_weight must be non-negative")
+        if not 0 <= self.aux_loss_weight < np.inf:
+            raise ConfigError(f"aux_loss_weight must be finite and non-negative, "
+                              f"got {self.aux_loss_weight}")
 
     @property
     def ffn_dim(self) -> int:

@@ -85,10 +85,6 @@ class GradCheckReport:
     worst_parameter: tuple[str, int]
     num_checked: int
 
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_error < 1e-4
-
 
 def grad_check(
     loss_fn: Callable[[Mapping[str, np.ndarray]], tuple[float, Mapping[str, np.ndarray]]],

@@ -45,6 +45,9 @@ TEMPLATES = [
     "tell {e} about the plan",
 ]
 
+# Share of each locale's evaluation utterances whose entity loses to its confusable.
+AMBIGUOUS_FRACTION = 0.6
+
 _SWAPS = str.maketrans({"d": "t", "s": "z", "e": "i"})
 
 
@@ -106,7 +109,6 @@ def gen_synthetic(
     sentences_per_locale: int = 400,
     eval_per_locale: int = 30,
     vocab_size: int = 512,
-    ambiguous_fraction: float = 0.6,
 ) -> SynthPaths:
     """Write corpora, manifests, vocab, references and lattices under out_dir."""
     root = Path(out_dir)
@@ -166,7 +168,7 @@ def gen_synthetic(
     ref_lines = []
     for locale in LOCALES:
         ents = ENTITIES[locale]
-        n_ambiguous = int(round(ambiguous_fraction * eval_per_locale))
+        n_ambiguous = int(round(AMBIGUOUS_FRACTION * eval_per_locale))
         for i in range(eval_per_locale):
             template = TEMPLATES[int(rng.integers(len(TEMPLATES)))]
             entity = ents[int(rng.integers(len(ents)))]

@@ -89,10 +89,9 @@ class Vocab:
 
 @dataclass
 class TokenSeq:
-    """Encoded sentence: token ids plus an optional locale tag."""
+    """Encoded sentence: its token ids."""
 
     ids: list[int]
-    language_tag: str | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -202,13 +201,13 @@ def _encode_word(word: str, vocab: Vocab, max_piece_len: int) -> list[int]:
     return ids
 
 
-def encode(text: str, vocab: Vocab, language_tag: str | None = None) -> TokenSeq:
+def encode(text: str, vocab: Vocab) -> TokenSeq:
     """Greedy longest-match encoding; unknown spans collapse to one UNK each."""
     max_len = max((len(p) for p in vocab.pieces[len(RESERVED_PIECES):]), default=1)
     ids: list[int] = []
     for w in _marked_words(text):
         ids.extend(_encode_word(w, vocab, max_len))
-    return TokenSeq(ids=ids, language_tag=language_tag)
+    return TokenSeq(ids=ids)
 
 
 def decode_text(ids: Sequence[int], vocab: Vocab) -> str:

@@ -210,27 +210,39 @@ def emit_report(report: LangReport, path: str | Path, fmt: str) -> None:
 
 
 def report_from_json(path: str | Path) -> LangReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read emit_report's JSON; a malformed report raises ValueError naming
+    the path and the first field at fault."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+
+    def get(obj, key, kinds, where=""):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{path}: field {where}{key} is missing")
+        val = obj[key]
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            raise ValueError(f"{path}: field {where}{key} is {val!r}")
+        return val
+
+    num, opt_num, opt_int = (int, float), (int, float, type(None)), (int, type(None))
     locales = {}
-    for loc, e in doc["locales"].items():
+    for loc, e in get(doc, "locales", dict).items():
+        where = f"locales.{loc}."
         locales[loc] = LocaleEntry(
-            breakdown=WerBreakdown(
-                substitutions=e["substitutions"],
-                deletions=e["deletions"],
-                insertions=e["insertions"],
-                ref_words=e["ref_words"],
-            ),
-            wer=e["wer"],
-            baseline_wer=e["baseline_wer"],
-            werr=e["werr"],
+            breakdown=WerBreakdown(*(get(e, k, int, where) for k in (
+                "substitutions", "deletions", "insertions", "ref_words"))),
+            wer=get(e, "wer", num, where),
+            baseline_wer=get(e, "baseline_wer", opt_num, where),
+            werr=get(e, "werr", opt_num, where),
         )
     return LangReport(
         locales=locales,
-        macro_avg_wer=doc["macro_avg_wer"],
-        micro_avg_wer=doc["micro_avg_wer"],
-        improved=doc["improved"],
-        tied=doc["tied"],
-        regressed=doc["regressed"],
+        macro_avg_wer=get(doc, "macro_avg_wer", num),
+        micro_avg_wer=get(doc, "micro_avg_wer", num),
+        improved=get(doc, "improved", opt_int),
+        tied=get(doc, "tied", opt_int),
+        regressed=get(doc, "regressed", opt_int),
         baseline_name=doc.get("baseline_name", ""),
     )
 

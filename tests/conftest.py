@@ -26,10 +26,7 @@ def synth_pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("synth")
     paths = gen_synthetic(root, seed=0)
     vocab = Vocab.load(paths.vocab)
-    sentences = [
-        encode(text, vocab, language_tag=loc)
-        for loc, text in read_corpus(paths.lm_manifest)
-    ]
+    sentences = [encode(text, vocab) for _, text in read_corpus(paths.lm_manifest)]
     config = MoeLmConfig(
         num_layers=2, model_dim=32, num_heads=2, head_dim=16,
         num_experts=4, experts_per_token=2, vocab_size=vocab.size,

@@ -43,6 +43,11 @@ class TestSchedules:
             AdafactorHyper(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             AdafactorHyper(lr_schedule="cosine")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="learning_rate"):
+                AdafactorHyper(learning_rate=bad)
+            with pytest.raises(ConfigError, match="clip_threshold"):
+                AdafactorHyper(clip_threshold=bad)
 
 
 class TestUpdateRule:

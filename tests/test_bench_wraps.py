@@ -4,7 +4,9 @@ bench/worker.py:install wraps program functions at the attributes where
 their callers look them up. A rename there would otherwise surface only in a
 traced benchmark run; installing and restoring the wrappers here fails first.
 Likewise, an autodiff op the training step stops calling would make its
-per-op metric read 0 rather than fail.
+per-op metric read 0 rather than fail, and a train-lm that stops calling
+train or encode the way the traced `train` metrics read them would break
+those metrics silently.
 """
 
 import importlib.util
@@ -14,9 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+import moefusion.cli as cli
 from moefusion import autodiff
 from moefusion.model import MoeLmConfig, init_params
 from moefusion.packing import pack_batches
+from moefusion.tokenizer import read_corpus
 from moefusion.trainer import batch_loss
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -65,3 +69,21 @@ def test_a_training_step_calls_every_traced_autodiff_op(monkeypatch):
     loss, _ = batch_loss(params, batches[0], config)
     autodiff.backward(loss)
     assert {op: calls[op] for op in ops if not calls[op]} == {}
+
+
+def test_traced_train_lm_feeds_the_train_metrics(monkeypatch, synth_pipeline, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans, worker = _load(monkeypatch, "spans"), _load(monkeypatch, "worker")
+    paths = synth_pipeline["paths"]
+    tracer = spans.Tracer()
+    try:
+        worker.install(tracer)
+        assert cli.main(["train-lm", "--manifest", str(paths.lm_manifest),
+                         "--vocab", str(paths.vocab), "--output-dir", str(tmp_path / "lm"),
+                         "--dim", "16", "--head-dim", "8", "--max-seq-len", "32",
+                         "--steps", "1", "--batch-size", "4"]) == 0
+    finally:
+        tracer.restore()
+    (train_call,) = tracer.named("trainer.train")
+    assert worker.step_peak_mb(train_call.info) > 0
+    assert len(tracer.named("tokenizer.encode")) == len(list(read_corpus(paths.lm_manifest)))

@@ -150,6 +150,8 @@ WRONG_MANIFESTS = {
     "unknown_config_key": lambda man: {**man, "config": {**man["config"], "bogus": 1}},
     "heads_times_head_dim_not_model_dim": lambda man: {**man, "config": {
         **man["config"], "num_heads": 3, "head_dim": 4, "model_dim": 8}},
+    "nan_aux_loss_weight": lambda man: {**man, "config": {
+        **man["config"], "aux_loss_weight": float("nan")}},
 }
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import moefusion.cli as cli_mod
 import moefusion.fusion as fusion_mod
 import moefusion.model as model_mod
 from moefusion.checkpoint import save_checkpoint
@@ -151,6 +152,53 @@ class TestTrainCommand:
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["num_layers"] == 2  # flag wins
         assert man["config"]["model_dim"] == 16  # file fills the rest
+
+    def test_config_file_equals_flags_for_every_setting(self, tmp_path, synth_pipeline,
+                                                         capsys):
+        """Every train-lm setting, at a non-default value, means the same as
+        a --config key as it does as a flag."""
+        paths = synth_pipeline["paths"]
+        settings = {
+            "layers": "3", "dim": "16", "heads": "4", "head_dim": "4", "ffn_mult": "2",
+            "experts": "3", "experts_per_token": "1", "max_seq_len": "24",
+            "aux_loss_weight": "0.02", "untied": "true", "lr": "0.03", "warmup": "5",
+            "lr_schedule": "constant", "steps": "2", "batch_size": "3",
+            "packing_factor": "2",
+        }
+        assert set(settings) == set(cli_mod._TRAIN_SETTINGS)
+        assert all(str(default).lower() != settings[key]
+                   for key, (_, default) in cli_mod._TRAIN_SETTINGS.items())
+        cfg = tmp_path / "lm.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        flags = [a for k, v in settings.items() if k != "untied"
+                 for a in (f"--{k.replace('_', '-')}", v)] + ["--untied"]
+        common = ["train-lm", "--manifest", str(paths.lm_manifest),
+                  "--vocab", str(paths.vocab), "--seed", "3", "--output-dir"]
+        assert main(common + [str(tmp_path / "file"), "--config", str(cfg)]) == 0
+        assert main(common + [str(tmp_path / "flags"), *flags]) == 0
+        from_file, from_flags = ((tmp_path / d / "manifest.json").read_text()
+                                 for d in ("file", "flags"))
+        assert from_file == from_flags
+        man = json.loads(from_file)
+        assert man["training_step"] == 2
+        assert man["config"]["tied_embeddings"] is False
+        assert man["config"]["num_experts"] == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--aux-loss-weight", "nan"), ("--aux-loss-weight", "inf"),
+        ("--lr", "nan"), ("--lr", "inf"),
+    ])
+    def test_non_finite_setting_rejected_before_training(self, flag, value, tmp_path,
+                                                         synth_pipeline, capsys):
+        paths = synth_pipeline["paths"]
+        out = tmp_path / "run"
+        rc = main(["train-lm", "--manifest", str(paths.lm_manifest),
+                   "--vocab", str(paths.vocab), "--output-dir", str(out),
+                   "--dim", "16", "--head-dim", "8", "--max-seq-len", "32",
+                   "--steps", "2", "--batch-size", "4", flag, value])
+        assert rc == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_file(self, tmp_path, synth_pipeline, capsys):
         paths = synth_pipeline["paths"]
@@ -337,6 +385,23 @@ class TestEvaluateCommand:
                           )["locales"]["loc-a"]["werr"] is None
         out = capsys.readouterr().out
         assert "loc-a: wer 0.3333\n" in out and "improved 1, tied 0, regressed 1" in out
+
+    @pytest.mark.parametrize("text, field", [
+        ("{}", "locales"), ("[1]", "locales"), ("{", "not JSON"),
+        ('{"locales": {"loc-a": {"wer": "0.5"}}}', "locales.loc-a.substitutions"),
+        ('{"locales": {"loc-a": {"substitutions": 1, "deletions": 0, "insertions": 0, '
+         '"ref_words": 3, "wer": "0.3", "baseline_wer": null, "werr": null}}}',
+         "locales.loc-a.wer"),
+    ])
+    def test_malformed_baseline_is_named(self, text, field, tmp_path, capsys):
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("u1\tloc-a\ta b c\n")
+        base = tmp_path / "base.json"
+        base.write_text(text)
+        assert main(["evaluate", "--refs", str(refs), "--hyps", str(refs),
+                     "--output-dir", str(tmp_path / "out"), "--baseline", str(base)]) == 2
+        err = capsys.readouterr().err
+        assert str(base) in err and field in err and "Traceback" not in err
 
     def test_missing_hypotheses_detected(self, synth_pipeline, tmp_path,
                                          capsys):

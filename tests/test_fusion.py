@@ -15,7 +15,7 @@ from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
 from moefusion.fusion import (
     DecodeRow, FusionConfig, LatticeSource, CheckpointLmScorer,
-    _floor, beam_search_fusion, decode_utterances, exhaustive_oracle, fuse,
+    _floor, beam_search_fusion, decode_utterances, exhaustive_oracle,
     load_lattice, read_decodes, save_lattice, write_decodes,
 )
 from moefusion.model import LmState, MoeLmConfig, lm_forward
@@ -34,18 +34,6 @@ def one_hot_lattice(tokens, vocab_size, p=0.999):
 
 
 class TestScoringRule:
-    def test_fuse_is_linear_combination(self):
-        assert fuse(-1.5, -2.0, 0.3) == pytest.approx(-1.5 + 0.3 * -2.0)
-        assert fuse(-1.5, -2.0, 0.0) == -1.5
-
-    def test_fuse_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            fuse(-1.0, -1.0, -0.1)
-        with pytest.raises(NumericError):
-            fuse(float("-inf"), -1.0, 0.5)
-        with pytest.raises(NumericError):
-            fuse(-1.0, float("nan"), 0.5)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FusionConfig(lam=-1.0)
@@ -235,6 +223,13 @@ class TestOracleAgreement:
         src = LatticeSource(random_lattice(16, 8, seed=12))
         with pytest.raises(ValueError, match="1e"):
             exhaustive_oracle(src, None, 0.0, max_len=6)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_oracle_rejects_non_finite_lam_before_scoring(self, lam):
+        lm = CountingLm(TableLm.random(6, 4, seed=13))
+        with pytest.raises(ValueError, match="lam must be finite"):
+            exhaustive_oracle(LatticeSource(random_lattice(6, 3, seed=13)), lm, lam, max_len=2)
+        assert lm.starts == 0 and lm.blocks == 0
 
 
 class NanSource:

@@ -62,6 +62,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MoeLmConfig(model_dim=100, num_heads=12, head_dim=64)
 
+    def test_aux_loss_weight_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="aux_loss_weight"):
+                MoeLmConfig(aux_loss_weight=bad)
+
     def test_round_trips_through_dict(self):
         cfg = MoeLmConfig(num_layers=4, model_dim=32, num_heads=4, head_dim=8,
                           num_experts=8, vocab_size=100, max_seq_len=64)

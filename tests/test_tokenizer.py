@@ -6,7 +6,7 @@ import pytest
 from moefusion.errors import VocabMismatchError
 from moefusion.tokenizer import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID, WORD_SEP,
-    TokenSeq, Vocab, decode_text, encode, read_corpus, read_manifest,
+    Vocab, decode_text, encode, read_corpus, read_manifest,
     train_wordpiece,
 )
 
@@ -63,13 +63,6 @@ def test_unknown_span_collapses_to_single_unk():
 def test_unk_decodes_as_literal():
     vocab = train_wordpiece(["ab"], 12)
     assert decode_text([UNK_ID], vocab) == "<unk>"
-
-
-def test_language_tag_carried():
-    vocab = train_wordpiece(["ab"], 12)
-    seq = encode("ab", vocab, language_tag="xx")
-    assert isinstance(seq, TokenSeq)
-    assert seq.language_tag == "xx"
 
 
 def test_ids_always_in_range():
