@@ -8,10 +8,11 @@ training graph on Vars and a plain numpy computation on arrays. Var supports
 `+` and `@` (either side may be an ndarray); every other op is a function.
 The op set is exactly what the language model forward pass and its loss
 need: elementwise add, mul and scale; matmul, reshape, swapaxes and sum_;
-softmax, log_softmax, gelu and layer_norm; and the indexing ops take_rows,
-gather_pairs, concat_rows and scatter_add_rows, which route tokens to
-experts and back. Each vector-Jacobian product is hand-written and covered
-by finite-difference tests.
+softmax, log_softmax, gelu and layer_norm; ffn, the two-layer GELU FFN as
+one op; and the indexing ops take_rows, gather_pairs, concat_rows and
+scatter_add_rows, which route tokens to experts and back. Each
+vector-Jacobian product is hand-written and covered by finite-difference
+tests.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "add", "mul", "scale",
     "matmul", "reshape", "swapaxes",
     "sum_",
-    "softmax", "log_softmax", "gelu", "layer_norm",
+    "softmax", "log_softmax", "gelu", "layer_norm", "ffn",
     "take_rows", "gather_pairs", "concat_rows", "scatter_add_rows",
     "backward",
 ]
@@ -175,21 +176,59 @@ def log_softmax(a, axis=-1):
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+def _gelu_parts(x):
+    """(x * x, tanh of the approximation's inner term, gelu(x)) for an array x."""
+    # Powers as multiplies: numpy's float ** is far slower than a product.
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+    return x2, t, 0.5 * x * (1.0 + t)
+
+
+def _gelu_grad(x, x2, t):
+    """d gelu / dx from x and the first two of _gelu_parts(x)."""
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
 def gelu(a):
     """tanh-approximation GELU; the vjp differentiates the approximation."""
     x = value(a)
-    # Powers as multiplies: numpy's float ** is far slower than a product.
-    x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(inner)
-    y = 0.5 * x * (1.0 + t)
+    x2, t, y = _gelu_parts(x)
+    return _node(y, [(a, lambda g: g * _gelu_grad(x, x2, t))])
 
-    def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return g * dy
 
-    return _node(y, [(a, vjp)])
+def ffn(x, w1, b1, w2, b2):
+    """gelu(x @ w1 + b1) @ w2 + b2 over (N, d) rows x, as one op.
+
+    The node keeps only x and the pre-activation: the vjps recompute GELU
+    and its derivative, and the first of them to run computes the
+    pre-activation's cotangent (g @ w2^T) * gelu'(pre), which the vjps of
+    x, w1 and b1 share.
+    """
+    ins = (x, w1, b1, w2, b2)
+    # Decoding calls this on plain arrays several times a step: no unwrapping.
+    on_graph = Var in map(type, ins)
+    xv, w1v, b1v, w2v, b2v = map(value, ins) if on_graph else ins
+    pre = np.matmul(xv, w1v) + b1v
+    out = np.matmul(gelu(pre), w2v) + b2v
+    if not on_graph:
+        return out
+    saved = []
+
+    def recomputed(g):
+        # [gelu(pre), cotangent of pre], built once per backward.
+        if not saved:
+            x2, t, y = _gelu_parts(pre)
+            saved.extend([y, np.matmul(g, w2v.T) * _gelu_grad(pre, x2, t)])
+        return saved
+
+    return _node(out, [
+        (x, lambda g: np.matmul(recomputed(g)[1], w1v.T)),
+        (w1, lambda g: np.matmul(xv.T, recomputed(g)[1])),
+        (b1, lambda g: recomputed(g)[1].sum(axis=0)),
+        (w2, lambda g: np.matmul(recomputed(g)[0].T, g)),
+        (b2, lambda g: g.sum(axis=0)),
+    ])
 
 
 def layer_norm(x, gain, bias):
@@ -288,9 +327,11 @@ def backward(root, seed_grad=None):
     """Accumulate gradients into .grad of the leaf Vars reachable from root.
 
     root must be scalar unless seed_grad supplies the cotangent explicitly.
-    A node with parents has its .grad freed (set to None) once its vjps have
-    run, so intermediate gradients do not outlive their use; only leaves
-    (Vars built directly from arrays) keep a gradient.
+    Once a node's vjps have run they are dropped (with the arrays they
+    hold), and a node with parents has its .grad freed (set to None), so
+    neither saved activations nor intermediate gradients outlive their use;
+    only leaves (Vars built directly from arrays) keep a gradient. The graph
+    can therefore be differentiated once.
     """
     if seed_grad is None:
         if root.value.size != 1:
@@ -307,5 +348,6 @@ def backward(root, seed_grad=None):
                 parent.grad = pg
             else:
                 parent.grad = parent.grad + pg
+        node._vjps = ()
         if node._parents:
             node.grad = None

@@ -108,8 +108,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CorruptCheckpointError(f"{wpath} not found")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptCheckpointError(f"unreadable manifest: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptCheckpointError(f"{mpath}: unreadable manifest: {exc}") from exc
     if not (isinstance(manifest, dict)
             and all(isinstance(manifest.get(k), dict) for k in ("config", "tensors"))):
         raise CorruptCheckpointError("manifest is not a JSON object with 'config' and "

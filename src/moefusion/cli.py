@@ -1,8 +1,11 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error (bad flags or flag values), 2 runtime
-failure (missing/corrupt inputs, numeric divergence). All subcommands are
-deterministic for a fixed --seed.
+Exit codes: 0 success; 1 usage error: the argument parser or a command's
+own flag checks reject a flag, a flag value or a --config line; 2 runtime
+failure: a value that parses but fails validation further in (a ConfigError
+such as `flops --dim 100`, or `lr_schedule = cosine` in --config), missing
+or corrupt inputs, numeric divergence. All subcommands are deterministic
+for a fixed --seed.
 """
 
 from __future__ import annotations

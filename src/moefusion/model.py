@@ -301,7 +301,7 @@ def _ffn(x, p: FfnParams):
     A one-row array runs as two equal rows, as lm_score_rows explains."""
     if isinstance(x, np.ndarray) and x.shape[:-1] == (1,):
         return _ffn(np.repeat(x, 2, axis=0), p)[:1]
-    return ad.gelu(x @ p.w1 + p.b1) @ p.w2 + p.b2
+    return ad.ffn(x, p.w1, p.b1, p.w2, p.b2)
 
 
 def _output_head(x, params, config: MoeLmConfig):

@@ -69,7 +69,10 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()

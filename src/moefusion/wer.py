@@ -214,7 +214,7 @@ def report_from_json(path: str | Path) -> LangReport:
     the path and the first field at fault."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
 
     def get(obj, key, kinds, where=""):

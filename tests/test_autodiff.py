@@ -67,6 +67,34 @@ def test_gelu():
     fd_check(lambda v: ad.gelu(v["a"]), {"a": rnd(4, 4, seed=20) * 2})
 
 
+def ffn_inputs(rows):
+    return {"x": rnd(rows, 3, seed=21) * 2, "w1": rnd(3, 4, seed=22),
+            "b1": rnd(4, seed=23), "w2": rnd(4, 3, seed=24), "b2": rnd(3, seed=25)}
+
+
+@pytest.mark.parametrize("rows", [5, 1])
+def test_ffn(rows):
+    fd_check(lambda v: ad.ffn(v["x"], v["w1"], v["b1"], v["w2"], v["b2"]), ffn_inputs(rows))
+
+
+def test_ffn_with_a_constant_bias():
+    inputs = ffn_inputs(5)
+    b1 = inputs.pop("b1")
+    fd_check(lambda v: ad.ffn(v["x"], v["w1"], b1, v["w2"], v["b2"]), inputs)
+
+
+def test_ffn_equals_the_ops_it_fuses_bit_for_bit():
+    inputs = ffn_inputs(6)
+    composed = lambda x, w1, b1, w2, b2: ad.gelu(x @ w1 + b1) @ w2 + b2  # noqa: E731
+    assert np.array_equal(ad.ffn(**inputs), composed(**inputs))
+    grads = []
+    for op in (ad.ffn, composed):
+        vars_ = {n: ad.Var(v) for n, v in inputs.items()}
+        ad.backward(ad.sum_(ad.mul(op(**vars_), rnd(6, 3, seed=26))))
+        grads.append([v.grad for v in vars_.values()])
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
 def test_layer_norm_broadcast_gain_and_bias():
     fd_check(lambda v: ad.layer_norm(v["x"], v["gain"], v["bias"]),
              {"x": rnd(2, 3, 5, seed=29), "gain": rnd(5, seed=30),
@@ -178,7 +206,7 @@ def test_ops_on_constants_return_arrays(monkeypatch):
     outs = [ad.add(a, b), ad.mul(a, b), ad.scale(a, 2.0),
             ad.matmul(a, m), ad.reshape(a, (4, 3)), ad.swapaxes(a, 0, 1),
             ad.sum_(a, axis=1), ad.softmax(a), ad.log_softmax(a), ad.gelu(a),
-            ad.layer_norm(a, b, b), ad.take_rows(a, [2, 0]),
+            ad.layer_norm(a, b, b), ad.ffn(a, m, b[:2], m.T, b), ad.take_rows(a, [2, 0]),
             ad.gather_pairs(a, [0, 1], [3, 2]),
             ad.gather_pairs(a, np.arange(3)[:, None], idx),
             ad.concat_rows([a, m.T]),
@@ -254,6 +282,7 @@ def test_backward_frees_intermediate_grads():
     ad.backward(loss)
     assert {id(n) for n in nodes if not n._parents} == {id(x), id(w)}
     assert all(n.grad is None for n in nodes if n._parents)
+    assert all(n._vjps == () for n in nodes)
 
     x_ref, w_ref, loss_ref = graph()
     keep_all_backward(loss_ref)

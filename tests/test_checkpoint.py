@@ -114,6 +114,13 @@ class TestValidation:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(tmp_path / "ck")
 
+    def test_undecodable_manifest_names_the_file(self, tiny_config, tmp_path):
+        save_checkpoint(make_ckpt(tiny_config), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(CorruptCheckpointError, match=r"manifest\.json: unreadable"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_bad_dtype_tag(self, tiny_config, tmp_path):
         save_checkpoint(make_ckpt(tiny_config), tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"

@@ -200,6 +200,22 @@ class TestTrainCommand:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_lr_schedule_exit_code_depends_on_where_it_is_set(
+            self, tmp_path, synth_pipeline, capsys):
+        # A flag outside its choices is a parser rejection (1); the same value
+        # from --config parses as a string and fails AdafactorHyper (2).
+        paths = synth_pipeline["paths"]
+        common = ["train-lm", "--manifest", str(paths.lm_manifest),
+                  "--vocab", str(paths.vocab), "--output-dir", str(tmp_path / "run"),
+                  "--dim", "16", "--head-dim", "8", "--max-seq-len", "32",
+                  "--steps", "2", "--batch-size", "4"]
+        assert main(common + ["--lr-schedule", "cosine"]) == 1
+        cfg = tmp_path / "lm.cfg"
+        cfg.write_text("lr_schedule = cosine\n")
+        assert main(common + ["--config", str(cfg)]) == 2
+        assert "unknown lr_schedule 'cosine'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_config_file(self, tmp_path, synth_pipeline, capsys):
         paths = synth_pipeline["paths"]
         cfg = tmp_path / "lm.cfg"

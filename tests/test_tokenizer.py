@@ -128,6 +128,12 @@ class TestVocabFile:
         with pytest.raises(ValueError, match=r"bad\.wpv: bad vocab header 'wpv1 abc'"):
             Vocab.load(p)
 
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.wpv"
+        p.write_bytes(b"wpv1 5\n<pad>\n<s>\n</s>\n<unk>\n\xff\n")
+        with pytest.raises(ValueError, match=r"bad\.wpv: not UTF-8"):
+            Vocab.load(p)
+
     def test_count_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.wpv"
         p.write_text("wpv1 6\n<pad>\n<s>\n</s>\n<unk>\na\n")

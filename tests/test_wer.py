@@ -194,6 +194,13 @@ class TestReports:
             rep.locales["loc-a"].breakdown
         assert back.baseline_name == "no-lm"
 
+    def test_undecodable_report_names_the_file(self, tmp_path):
+        emit_report(self.make_report(), tmp_path / "r.json", "json")
+        path = tmp_path / "r.json"
+        path.write_bytes(path.read_bytes().replace(b"no-lm", b"no-\xff"))
+        with pytest.raises(ValueError, match=r"r\.json: not JSON"):
+            report_from_json(path)
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(self.make_report(), tmp_path / "r.xml", "xml")
