@@ -10,7 +10,7 @@ from .fusion import (
 )
 from .model import (
     GateOutput, LmState, MoeLmConfig,
-    gate_topk, init_params, lm_forward, lm_score_step, moe_layer_forward,
+    gate_topk, init_params, lm_forward, lm_score_step,
 )
 from .numerics import GradCheckReport, grad_check, log_softmax, logsumexp
 from .packing import PackedBatch, pack_batches

@@ -17,7 +17,7 @@ from pathlib import Path
 from .accounting import count_params_flops
 from .adafactor import LR_SCHEDULES, AdafactorHyper
 from .checkpoint import load_checkpoint
-from .errors import UsageError
+from .errors import UsageError, read_text
 from .fusion import (
     DecodeRow, FusionConfig, decode_utterances, read_decodes, write_decodes,
 )
@@ -33,7 +33,7 @@ __all__ = ["main", "build_parser"]
 def _kv_config(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     seen: dict[str, int] = {}
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(read_text(path, UsageError).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -162,7 +162,7 @@ def cmd_decode(args) -> int:
 def _read_hyps(path: Path, refs: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
     """Accept either a 3-column utt file or a 5-column decode file."""
     first = ""
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if line.strip():
             first = line
             break

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and read_text, the text-file
+reader that turns undecodable bytes into one of them.
 
 Callers can catch the narrow type (e.g. CheckpointShapeError) or the family
 base class. Argument-contract violations raise plain ValueError/TypeError.
 """
+
+from pathlib import Path
 
 
 class NumericError(ArithmeticError):
@@ -35,3 +38,11 @@ class CorruptCheckpointError(CheckpointError):
 
 class UsageError(Exception):
     """Bad command-line usage (missing input, malformed flag value)."""
+
+
+def read_text(path, error: type[Exception] = ValueError) -> str:
+    """The UTF-8 text of path; bytes that do not decode raise error naming path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from None

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .errors import NumericError, VocabMismatchError
+from .errors import NumericError, VocabMismatchError, read_text
 from .model import LmState, initial_state, lm_score_rows, lm_score_step
 from .numerics import logsumexp
 from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
@@ -489,7 +489,7 @@ def write_decodes(rows: Sequence[DecodeRow], path: str | Path) -> None:
 
 def read_decodes(path: str | Path) -> list[DecodeRow]:
     rows = []
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         cols = line.split("\t")

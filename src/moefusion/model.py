@@ -19,7 +19,9 @@ The two agree to within 1e-5 per log-probability; tests enforce this. On
 plain arrays an autodiff op records no graph and returns an ndarray, so the
 decode step runs the same layers (ad.layer_norm, _ffn, the mixture
 _mixture with its router gate_topk, _output_head) at numpy speed.
-_mixture's dense variant is the sparse reference.
+_mixture is the only mixture: the dense reference it is tested against
+(every expert on every token) is tests/helpers.dense_mixture, which the
+sparse/dense equivalence tests patch in as model._mixture.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .tokenizer import BOS_ID
 __all__ = [
     "MoeLmConfig", "GateOutput", "LmState", "FfnParams", "ForwardResult",
     "param_shapes", "init_params", "positional_table",
-    "gate_topk", "moe_layer_forward",
+    "gate_topk",
     "build_forward", "lm_forward",
     "initial_state", "lm_score_rows", "lm_score_step",
 ]
@@ -110,10 +112,10 @@ class MoeLmConfig:
 
 @dataclass
 class GateOutput:
-    """Routing of one token (expert_indices a tuple of k ints) or of N tokens
-    (an (N, k) array; every field gains the leading N axis)."""
+    """Routing of N tokens: (N, k) expert indices, (N, k) combine weights
+    and (N, E) gate logits."""
 
-    expert_indices: "tuple[int, ...] | np.ndarray"
+    expert_indices: np.ndarray
     combine_weights: "np.ndarray | ad.Var"
     all_gate_logits: "np.ndarray | ad.Var"
 
@@ -226,44 +228,24 @@ def positional_table(max_len: int, dim: int) -> np.ndarray:
 def gate_topk(token_repr, gate_weight, k: int) -> GateOutput:
     """Route tokens: pick the top-k experts, softmax-renormalize their logits.
 
-    The one router of training and decoding. token_repr is one token (d,) or
-    a block (N, d), arrays or (for a block) a Var. The combine weights equal
-    the full softmax over all experts renormalized to the selected set. Ties
-    in the logits resolve to the lower expert index.
+    The one router of training and decoding. token_repr is an (N, d) block,
+    an array or a Var. The combine weights equal the full softmax over all
+    experts renormalized to the selected set. Ties in the logits resolve to
+    the lower expert index.
     """
     e = gate_weight.shape[1]
     if k > e:
         raise ConfigError(f"cannot select top-{k} of {e} experts")
-    one = ad.value(token_repr).ndim == 1
-    logits = (token_repr[None] if one else token_repr) @ gate_weight
+    logits = token_repr @ gate_weight
     check_finite(ad.value(logits), "gate logits")
     sel = np.argsort(-ad.value(logits), axis=-1, kind="stable")[:, :k]
     weights = ad.softmax(ad.gather_pairs(logits, np.arange(len(sel))[:, None], sel), axis=-1)
-    if one:
-        return GateOutput(tuple(sel[0].tolist()), weights[0], logits[0])
     return GateOutput(sel, weights, logits)
 
 
 def _ffn_params(p: Mapping, prefix: str) -> FfnParams:
     return FfnParams(w1=p[prefix + "w1"], b1=p[prefix + "b1"],
                      w2=p[prefix + "w2"], b2=p[prefix + "b2"])
-
-
-def moe_layer_forward(
-    x: np.ndarray,
-    gate_weight: np.ndarray,
-    experts: Sequence[FfnParams],
-    k: int,
-    impl: str = "sparse",
-) -> np.ndarray:
-    """Mixture-of-experts FFN over a (T, d) block of token representations.
-
-    Runs the training mixture (_mixture) on plain arrays. impl="sparse" runs
-    only the selected experts per token. impl="dense" evaluates every expert
-    and mixes with the full gate softmax; it requires k == len(experts) and
-    exists as the reduction target the sparse path is tested against.
-    """
-    return _mixture(ad.value(x), gate_weight, experts.__getitem__, k, impl)[0]
 
 
 def _segment_positions(segment_ids: np.ndarray) -> np.ndarray:
@@ -314,29 +296,17 @@ def _output_head(x, params, config: MoeLmConfig):
     return ad.log_softmax(logits, axis=-1)
 
 
-def _mixture(flat, gate_weight, expert, k: int, impl: str):
+def _mixture(flat, gate_weight, expert, k: int):
     """Top-k mixture of expert FFNs over (N, d) tokens; returns (out, gate).
 
     expert(idx) gives expert idx's FfnParams; gate is gate_topk's routing.
-    "sparse" runs each selected expert on its tokens, joins their outputs in
-    expert order and mixes them in one combine, weighted by the softmax of
-    the selected logits; "dense" runs every expert on every token, mixed by
-    the full gate softmax, and needs k == E, where the two are the same.
+    Each selected expert runs on its tokens only; their outputs are joined
+    in expert order and mixed in one combine, weighted by the softmax of the
+    selected logits. _layers looks _mixture up at call time, so a test may
+    swap in a reference mixture by patching this module's attribute.
     """
     n, d = flat.shape
-    if impl not in ("sparse", "dense"):
-        raise ValueError(f"unknown impl {impl!r}")
-    if impl == "dense" and k != gate_weight.shape[1]:
-        raise ConfigError("dense mixture requires experts_per_token == num_experts")
     gate = gate_topk(flat, gate_weight, k)
-
-    if impl == "dense":
-        probs, out = ad.softmax(gate.all_gate_logits, axis=-1), None
-        for idx in range(gate_weight.shape[1]):
-            col = ad.gather_pairs(probs, np.arange(n)[:, None], np.full((n, 1), idx))
-            term = ad.mul(_ffn(flat, expert(idx)), col)
-            out = term if out is None else ad.add(out, term)
-        return out, gate
 
     # Group the (token, slot) choices by expert, tokens ascending in a group.
     order = np.argsort(gate.expert_indices, axis=None, kind="stable")
@@ -349,7 +319,7 @@ def _mixture(flat, gate_weight, expert, k: int, impl: str):
     return ad.scatter_add_rows(np.zeros((n, d)), tok, ad.mul(y, w)), gate
 
 
-def _layers(x, params, config: MoeLmConfig, attend, moe_impl: str):
+def _layers(x, params, config: MoeLmConfig, attend):
     """The decoder stack over (N, d) token rows; returns (rows, MoE gates).
 
     Each layer is pre-norm attention and a residual, then a pre-norm FFN (a
@@ -367,7 +337,7 @@ def _layers(x, params, config: MoeLmConfig, attend, moe_impl: str):
         if config.is_moe_layer(i):
             out, gate = _mixture(h, params[prefix + "gate.weight"],
                                  lambda e: _ffn_params(params, f"{prefix}expert{e:02d}."),
-                                 config.experts_per_token, moe_impl)
+                                 config.experts_per_token)
             gates.append(gate)
         else:
             out = _ffn(h, _ffn_params(params, prefix + "ffn."))
@@ -381,7 +351,6 @@ def build_forward(
     config: MoeLmConfig,
     segment_ids: np.ndarray | None = None,
     want_aux: bool = False,
-    moe_impl: str = "sparse",
 ) -> ForwardResult:
     """Differentiable forward pass: (B, T) token ids -> (B, T, V) log-probs.
 
@@ -409,7 +378,7 @@ def build_forward(
 
     pe = positional_table(config.max_seq_len, d)
     x = ad.take_rows(params["embed.weight"], token_ids.ravel()) + pe[pos.ravel()]
-    x, gates = _layers(x, params, config, attend, moe_impl)
+    x, gates = _layers(x, params, config, attend)
     log_probs = ad.reshape(_output_head(x, params, config), (b, t, config.vocab_size))
 
     # Routing statistics cover live tokens only, so padding content can
@@ -485,7 +454,7 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, block: 
         return ctx.reshape(r, config.model_dim)[pad]
 
     pe = positional_table(config.max_seq_len, config.model_dim)
-    x, _ = _layers(params["embed.weight"][tokens[pad]] + pe[p], params, config, attend, "sparse")
+    x, _ = _layers(params["embed.weight"][tokens[pad]] + pe[p], params, config, attend)
     return new, _output_head(x, params, config)[:r]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import VocabMismatchError
+from .errors import VocabMismatchError, read_text
 
 __all__ = [
     "PAD_ID", "BOS_ID", "EOS_ID", "UNK_ID", "RESERVED_PIECES", "WORD_SEP",
@@ -69,11 +69,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8: {exc}") from None
-        lines = text.split("\n")
+        lines = read_text(path).split("\n")
         if lines and lines[-1] == "":
             lines.pop()
         if not lines:
@@ -237,7 +233,7 @@ def read_manifest(path: str | Path) -> list[tuple[str, Path]]:
     path = Path(path)
     base = path.parent
     entries: list[tuple[str, Path]] = []
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -262,7 +258,7 @@ def read_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
     """All (locale, sentence) pairs pooled in manifest order."""
     out: list[tuple[str, str]] = []
     for locale, p in read_manifest(manifest_path):
-        for line in p.read_text(encoding="utf-8").splitlines():
+        for line in read_text(p).splitlines():
             line = line.strip()
             if line:
                 out.append((locale, line))

@@ -60,7 +60,6 @@ def batch_loss(
     params: Mapping[str, "ad.Var"],
     batch: PackedBatch,
     config: MoeLmConfig,
-    moe_impl: str = "sparse",
 ) -> tuple["ad.Var", dict]:
     """Differentiable loss for one batch; extras carry float diagnostics."""
     tokens = batch.tokens
@@ -69,7 +68,7 @@ def batch_loss(
     )
     result = build_forward(
         params, tokens, config,
-        segment_ids=batch.segment_ids, want_aux=True, moe_impl=moe_impl,
+        segment_ids=batch.segment_ids, want_aux=True,
     )
     mask = batch.loss_mask
     denom = float(mask.sum())
@@ -107,7 +106,6 @@ def train(
     seed: int,
     batch_size: int = 8,
     packing_factor: int = 4,
-    moe_impl: str = "sparse",
     plateau_window: int = 500,
     plateau_rel_tol: float = 1e-3,
     init: Mapping[str, np.ndarray] | None = None,
@@ -147,7 +145,7 @@ def train(
         t0 = time.perf_counter()
         var_params = {n: ad.Var(v) for n, v in params.items()}
         try:
-            loss, extras = batch_loss(var_params, batch, config, moe_impl=moe_impl)
+            loss, extras = batch_loss(var_params, batch, config)
         except NumericError as exc:
             raise NumericError(f"training diverged at step {step}: {exc}") from exc
         if not np.isfinite(loss.value):

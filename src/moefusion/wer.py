@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import read_text
+
 __all__ = [
     "WerBreakdown", "LocaleEntry", "LangReport",
     "wer", "werr", "aggregate", "emit_report", "report_from_json",
@@ -250,7 +252,7 @@ def report_from_json(path: str | Path) -> LangReport:
 def read_utt_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Parse `utt_id<TAB>locale<TAB>text` lines into utt_id -> (locale, text)."""
     out: dict[str, tuple[str, str]] = {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         cols = line.split("\t")

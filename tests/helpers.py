@@ -6,8 +6,9 @@ import numpy as np
 
 from moefusion import autodiff as ad
 from moefusion.checkpoint import Checkpoint
+from moefusion.errors import ConfigError
 from moefusion.fusion import _floor
-from moefusion.model import LmState, initial_state, lm_score_step
+from moefusion.model import LmState, _ffn, gate_topk, initial_state, lm_score_step
 from moefusion.numerics import grad_check, log_softmax
 from moefusion.tokenizer import BOS_ID
 
@@ -163,3 +164,19 @@ def reference_select(flat, beam_size):
     finite = np.flatnonzero(np.isfinite(flat))
     order = np.lexsort((finite, -flat[finite]))
     return np.sort(finite[order[:beam_size]])
+
+
+def dense_mixture(flat, gate_weight, expert, k):
+    """The reference model._mixture is tested against, and a drop-in for it:
+    every expert runs on every token, mixed by the full gate softmax. That
+    is the top-k mixture only when k == E, so any other k is refused."""
+    n, e = flat.shape[0], gate_weight.shape[1]
+    if k != e:
+        raise ConfigError("dense mixture requires experts_per_token == num_experts")
+    gate = gate_topk(flat, gate_weight, k)
+    probs, out = ad.softmax(gate.all_gate_logits, axis=-1), None
+    for idx in range(e):
+        col = ad.gather_pairs(probs, np.arange(n)[:, None], np.full((n, 1), idx))
+        term = ad.mul(_ffn(flat, expert(idx)), col)
+        out = term if out is None else ad.add(out, term)
+    return out, gate

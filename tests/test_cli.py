@@ -446,6 +446,39 @@ class TestEvaluateCommand:
         assert not (tmp_path / "out").exists()
 
 
+def with_ff_byte(path):
+    """path with one 0xff byte, which no UTF-8 text holds, after its first byte."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:1] + b"\xff" + raw[1:])
+    return path
+
+
+@pytest.mark.parametrize("fault, rc", [
+    ("refs", 2), ("hyps", 2), ("config", 1), ("manifest", 2), ("corpus", 2),
+])
+def test_non_utf8_input_is_named(fault, rc, synth_pipeline, tmp_path, capsys):
+    """One 0xff byte in a text input fails the command with that file's name:
+    exit 1 for the config file, as for its other bad lines, else exit 2.
+    The hypotheses file fails in evaluate's sniff of its format."""
+    files = {n: tmp_path / n for n in ("refs", "hyps", "manifest", "corpus", "config")}
+    files["refs"].write_text("u1\tloc-a\ta b\n")
+    files["hyps"].write_text("u1\tloc-a\ta b\n")
+    files["corpus"].write_text("a b c\n")
+    files["manifest"].write_text("loc-a\tcorpus\n")
+    files["config"].write_text("steps = 1\n")
+    bad = with_ff_byte(files[fault])
+    if fault in ("refs", "hyps"):
+        argv = ["evaluate", "--refs", str(files["refs"]), "--hyps", str(files["hyps"])]
+    else:
+        argv = ["train-lm", "--manifest", str(files["manifest"]),
+                "--vocab", str(synth_pipeline["paths"].vocab), "--config", str(files["config"])]
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 BAD_LATTICES = ["truncated", "nan_row", "wrong_vocab", "zero_rows", "zero_rows_text",
                 "unnormalized"]
 

@@ -708,6 +708,11 @@ class TestDecodeFiles:
         with pytest.raises(ValueError, match="columns"):
             read_decodes(tmp_path / "d.tsv")
 
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        (tmp_path / "d.tsv").write_bytes(b"utt1\t\xff\t-1.0\t-2.0\t-3.0\n")
+        with pytest.raises(ValueError, match=r"d\.tsv: not UTF-8"):
+            read_decodes(tmp_path / "d.tsv")
+
     def test_directory_decode_sorted(self, tmp_path, synth_pipeline):
         vocab = synth_pipeline["vocab"]
         rng = np.random.default_rng(20)

@@ -6,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import fd_check, record_var_inits
+from helpers import dense_mixture, fd_check, record_var_inits
 from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
     FfnParams, MoeLmConfig, _ffn, _mixture, _segment_positions, build_forward,
     gate_topk, init_params, initial_state, lm_forward, lm_score_rows, lm_score_step,
-    moe_layer_forward, param_shapes, positional_table,
+    param_shapes, positional_table,
 )
 from moefusion.tokenizer import BOS_ID
 
@@ -31,6 +31,11 @@ def block_walk(params, config, seqs):
         block, rows = lm_score_rows(params, config, block, parents, seqs[:, step])
         out.append(rows)
     return block, np.stack(out)
+
+
+def mixture(x, gate, experts, k, mix=_mixture):
+    """The (T, d) output of mix over a list of FfnParams."""
+    return mix(x, gate, experts.__getitem__, k)[0]
 
 
 def make_experts(d, f, n, seed=0):
@@ -80,37 +85,37 @@ class TestConfig:
 class TestGate:
     def test_hand_example(self):
         # logits [1, 3, 2, -1] -> experts (1, 2), softmax([3, 2])
-        out = gate_topk(np.array([1.0]), np.array([[1.0, 3.0, 2.0, -1.0]]), 2)
-        assert out.expert_indices == (1, 2)
-        assert np.allclose(out.combine_weights, [0.7311, 0.2689], atol=1e-4)
-        assert np.allclose(out.all_gate_logits, [1.0, 3.0, 2.0, -1.0])
+        out = gate_topk(np.array([[1.0]]), np.array([[1.0, 3.0, 2.0, -1.0]]), 2)
+        assert out.expert_indices.tolist() == [[1, 2]]
+        assert np.allclose(out.combine_weights, [[0.7311, 0.2689]], atol=1e-4)
+        assert np.allclose(out.all_gate_logits, [[1.0, 3.0, 2.0, -1.0]])
 
     def test_tie_resolves_to_lower_index(self):
-        out = gate_topk(np.array([1.0]), np.array([[5.0, 5.0, 0.0, 0.0]]), 2)
-        assert out.expert_indices == (0, 1)
-        assert np.allclose(out.combine_weights, [0.5, 0.5])
+        out = gate_topk(np.array([[1.0]]), np.array([[5.0, 5.0, 0.0, 0.0]]), 2)
+        assert out.expert_indices.tolist() == [[0, 1]]
+        assert np.allclose(out.combine_weights, [[0.5, 0.5]])
 
     def test_k_equals_e_is_full_softmax(self):
         rng = np.random.default_rng(1)
-        repr_, gate = rng.standard_normal(6), rng.standard_normal((6, 4))
+        repr_, gate = rng.standard_normal((1, 6)), rng.standard_normal((6, 4))
         out = gate_topk(repr_, gate, 4)
-        logits = repr_ @ gate
+        logits = (repr_ @ gate)[0]
         order = np.argsort(-logits, kind="stable")
         full = np.exp(logits - logits.max())
         full /= full.sum()
-        assert np.allclose(out.combine_weights, full[order], atol=1e-12)
+        assert np.allclose(out.combine_weights[0], full[order], atol=1e-12)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            out = gate_topk(rng.standard_normal(8),
+            out = gate_topk(rng.standard_normal((1, 8)),
                             rng.standard_normal((8, 16)), 2)
             assert abs(out.combine_weights.sum() - 1.0) < 1e-12
-            assert len(set(out.expert_indices)) == 2
+            assert len(set(out.expert_indices[0].tolist())) == 2
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ConfigError):
-            gate_topk(np.ones(2), np.ones((2, 3)), 4)
+            gate_topk(np.ones((1, 2)), np.ones((2, 3)), 4)
 
 
 class TestMoeLayer:
@@ -119,7 +124,7 @@ class TestMoeLayer:
         experts = make_experts(d, f, 1, seed=3)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((20, d))
-        out = moe_layer_forward(x, rng.standard_normal((d, 1)), experts, 1)
+        out = mixture(x, rng.standard_normal((d, 1)), experts, 1)
         p = experts[0]
         h = x @ p.w1 + p.b1
         c = np.sqrt(2.0 / np.pi)
@@ -132,8 +137,8 @@ class TestMoeLayer:
         experts = make_experts(d, f, 2, seed=6)
         gate = rng.standard_normal((d, 2))
         x = rng.standard_normal((1000, d))
-        sparse = moe_layer_forward(x, gate, experts, 2, impl="sparse")
-        dense = moe_layer_forward(x, gate, experts, 2, impl="dense")
+        sparse = mixture(x, gate, experts, 2)
+        dense = mixture(x, gate, experts, 2, mix=dense_mixture)
         assert np.abs(sparse - dense).max() < 1e-6
 
     def test_tokens_route_differently(self):
@@ -145,20 +150,9 @@ class TestMoeLayer:
         sel = np.argsort(-logits, axis=1, kind="stable")[:, :2]
         assert len({tuple(row) for row in sel}) > 1
 
-    def test_dense_requires_k_equals_e(self):
-        with pytest.raises(ConfigError):
-            moe_layer_forward(np.ones((2, 4)), np.ones((4, 3)),
-                              make_experts(4, 8, 3), 2, impl="dense")
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            moe_layer_forward(np.ones((2, 4)), np.ones((4, 2)),
-                              make_experts(4, 8, 2), 2, impl="magic")
-
     def test_k_above_expert_count_rejected(self):
         with pytest.raises(ConfigError):
-            moe_layer_forward(np.ones((2, 4)), np.ones((4, 2)),
-                              make_experts(4, 8, 2), 3)
+            mixture(np.ones((2, 4)), np.ones((4, 2)), make_experts(4, 8, 2), 3)
 
     def test_mixture_builds_only_the_selected_experts(self):
         d, f, e, k = 8, 16, 64, 2
@@ -166,9 +160,9 @@ class TestMoeLayer:
         rng = np.random.default_rng(10)
         x, gate = rng.standard_normal((3, d)), rng.standard_normal((d, e))
         asked = []
-        out, g = _mixture(x, gate, lambda i: asked.append(i) or experts[i], k, "sparse")
+        out, g = _mixture(x, gate, lambda i: asked.append(i) or experts[i], k)
         assert sorted(asked) == sorted(set(g.expert_indices.ravel().tolist()))
-        assert np.array_equal(out, moe_layer_forward(x, gate, experts, k))
+        assert np.array_equal(out, mixture(x, gate, experts, k))
 
     def test_one_combine_matches_per_group_mixing(self):
         # Expert 2 serves one (token, slot), expert 4 none. The combine must
@@ -190,7 +184,7 @@ class TestMoeLayer:
             if tok.size:
                 y = _ffn(x[tok], p)
                 np.add.at(ref, tok, y * g.combine_weights[tok, slot][:, None])
-        assert np.array_equal(moe_layer_forward(x, gate, experts, k), ref)
+        assert np.array_equal(mixture(x, gate, experts, k), ref)
 
         params = {"x": x, "gate": gate}
         for e, p in enumerate(experts):
@@ -198,7 +192,7 @@ class TestMoeLayer:
         fd_check(lambda v: _mixture(
             v["x"], v["gate"],
             lambda e: FfnParams(*(v[f"{e}.{n}"] for n in ("w1", "b1", "w2", "b2"))),
-            k, "sparse")[0], params)
+            k)[0], params)
 
     def test_combine_runs_once_per_layer(self, monkeypatch):
         d, f, e, k = 8, 16, 64, 2
@@ -209,7 +203,7 @@ class TestMoeLayer:
         for op in ops:
             fn = getattr(ad, op)
             monkeypatch.setattr(ad, op, lambda *a, _op=op, _fn=fn: calls.update([_op]) or _fn(*a))
-        _, g = _mixture(x, gate, experts.__getitem__, k, "sparse")
+        _, g = _mixture(x, gate, experts.__getitem__, k)
         assert len(set(g.expert_indices.ravel().tolist())) > 2
         # one gather_pairs is the router's top-k pick
         assert calls == {"gather_pairs": 2, "mul": 1, "scatter_add_rows": 1}
@@ -222,11 +216,11 @@ class TestMoeLayer:
         rng = np.random.default_rng(40 + e)
         experts = make_experts(d, f, e, seed=e)
         gate = rng.standard_normal((d, e))
-        for row in rng.standard_normal((20, d)):
+        for row in rng.standard_normal((20, 1, d)):
             g = gate_topk(row, gate, k)
-            step = sum(w * _ffn(row, experts[i])
-                       for w, i in zip(g.combine_weights, g.expert_indices))
-            layer = moe_layer_forward(row[None, :], gate, experts, k)[0]
+            step = sum(w * _ffn(row[0], experts[i])
+                       for w, i in zip(g.combine_weights[0], g.expert_indices[0]))
+            layer = mixture(row, gate, experts, k)[0]
             assert np.abs(step - layer).max() < 1e-12
 
 

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+from helpers import dense_mixture
+import moefusion.model as model_mod
 import moefusion.trainer as trainer_mod
 from moefusion import autodiff as ad
 from moefusion.adafactor import AdafactorHyper
@@ -118,14 +120,18 @@ class TestPaddingNeutrality:
 
 
 class TestMoeImpls:
-    def test_sparse_and_dense_training_agree(self):
+    def test_sparse_and_dense_training_agree(self, monkeypatch):
         cfg = MoeLmConfig(num_layers=2, model_dim=16, num_heads=2, head_dim=8,
                           num_experts=2, experts_per_token=2, vocab_size=32,
                           max_seq_len=16)
-        a, la = train(corpus(30), cfg, HYPER, steps=20, seed=0, batch_size=4,
-                      moe_impl="sparse")
-        b, lb = train(corpus(30), cfg, HYPER, steps=20, seed=0, batch_size=4,
-                      moe_impl="dense")
+        a, la = train(corpus(30), cfg, HYPER, steps=20, seed=0, batch_size=4)
+        calls = []
+        monkeypatch.setattr(model_mod, "_mixture",
+                            lambda *args: calls.append(1) or dense_mixture(*args))
+        b, lb = train(corpus(30), cfg, HYPER, steps=20, seed=0, batch_size=4)
+        # The dense run really went through the reference: once per MoE
+        # layer per step, not through a copy of _mixture bound earlier.
+        assert len(calls) == 20 * len(cfg.moe_layers)
         for x, y in zip(la.losses, lb.losses):
             assert abs(x - y) <= 1e-5
         for n in a.tensors:
@@ -143,10 +149,10 @@ class TestFailure:
     def test_non_finite_gradient_names_step_and_tensor(self, monkeypatch):
         real = trainer_mod.batch_loss
 
-        def poisoned(params, batch, config, moe_impl="sparse"):
+        def poisoned(params, batch, config):
             # A zero-valued term whose vjp hands final_ln.gain a NaN: the loss
             # stays finite and only the gradient goes bad.
-            loss, extras = real(params, batch, config, moe_impl=moe_impl)
+            loss, extras = real(params, batch, config)
             gain = params["final_ln.gain"]
             bad = ad.Var(0.0, (gain,),
                          (lambda g: np.full(gain.shape, np.nan),))
