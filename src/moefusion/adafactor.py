@@ -1,10 +1,11 @@
 """Adafactor optimizer: factored second moments, no first moment.
 
 The second-moment decay follows beta2_hat(t) = min(beta2, 1 - t^-0.8) with
-steps counted from 1. Matrices keep only row and column mean
-accumulators r and c. The factored moment is vhat = outer(r, c) / mean(r),
-but it is never built: the gradient is scaled by sqrt(mean(r)) / sqrt(r) along
-rows and by 1 / sqrt(c) along columns, which is g / sqrt(vhat) up to rounding.
+steps counted from 1. Every matrix is factored, keeping only row and column
+mean accumulators r and c; vectors and scalars keep the full second moment.
+The factored moment is vhat = outer(r, c) / mean(r), but it is never built:
+the gradient is scaled by sqrt(mean(r)) / sqrt(r) along rows and by
+1 / sqrt(c) along columns, which is g / sqrt(vhat) up to rounding.
 Updates are RMS-clipped at clip_threshold before the learning-rate scale.
 """
 
@@ -29,7 +30,6 @@ LR_SCHEDULES = ("inverse_sqrt", "constant")
 class AdafactorHyper:
     beta2: float = 0.99
     clip_threshold: float = 1.0
-    factored: bool = True
     learning_rate: float = 0.05
     warmup_steps: int = 1000
     lr_schedule: str = "inverse_sqrt"
@@ -90,7 +90,7 @@ def adafactor_step(
         # Fresh arrays (even for 0-d g) that the update is computed in.
         sq = np.multiply(g, g, out=np.empty_like(g))
         sq += _EPS1
-        if hyper.factored and g.ndim == 2:
+        if g.ndim == 2:
             r = state.row.get(name)
             c = state.col.get(name)
             if r is None:

@@ -323,21 +323,20 @@ def _topo(root):
     return order
 
 
-def backward(root, seed_grad=None):
+def backward(root):
     """Accumulate gradients into .grad of the leaf Vars reachable from root.
 
-    root must be scalar unless seed_grad supplies the cotangent explicitly.
+    root must be scalar; it is seeded with gradient 1 (to differentiate a
+    non-scalar y against a cotangent g, call backward on sum_(mul(y, g))).
     Once a node's vjps have run they are dropped (with the arrays they
     hold), and a node with parents has its .grad freed (set to None), so
     neither saved activations nor intermediate gradients outlive their use;
     only leaves (Vars built directly from arrays) keep a gradient. The graph
     can therefore be differentiated once.
     """
-    if seed_grad is None:
-        if root.value.size != 1:
-            raise ValueError("backward() on a non-scalar requires seed_grad")
-        seed_grad = np.ones_like(root.value)
-    root.grad = np.asarray(seed_grad, dtype=np.float64)
+    if root.value.size != 1:
+        raise ValueError(f"backward() needs a scalar root, got shape {root.value.shape}")
+    root.grad = np.ones_like(root.value)
     for node in reversed(_topo(root)):
         g = node.grad
         if g is None:

@@ -19,7 +19,7 @@ from .adafactor import LR_SCHEDULES, AdafactorHyper
 from .checkpoint import load_checkpoint
 from .errors import UsageError, read_text
 from .fusion import (
-    DecodeRow, FusionConfig, decode_utterances, read_decodes, write_decodes,
+    FusionConfig, decode_utterances, read_decodes, write_decodes,
 )
 from .model import MoeLmConfig
 from .synthetic import gen_synthetic
@@ -159,23 +159,16 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _read_hyps(path: Path, refs: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
-    """Accept either a 3-column utt file or a 5-column decode file."""
-    first = ""
-    for line in read_text(path).splitlines():
-        if line.strip():
-            first = line
-            break
-    if first.count("\t") == 4:
-        return _decoded_hyps(read_decodes(path), refs)
-    return read_utt_file(path)
+def _read_hyps(path: Path) -> dict[str, str]:
+    """utt_id -> text from a 3-column utt file or a 5-column decode file.
 
-
-def _decoded_hyps(rows: list[DecodeRow],
-                  refs: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
-    """utt_id -> (reference locale, decoded text) for decode rows."""
-    _check_ids(refs, [row.utt_id for row in rows])
-    return {row.utt_id: (refs[row.utt_id][0], row.text) for row in rows}
+    The format is told by the tab count of the first non-blank line, read
+    from the raw bytes, so only the chosen reader decodes the file.
+    """
+    first = next((ln for ln in path.read_bytes().splitlines() if ln.strip()), b"")
+    if first.count(b"\t") == 4:
+        return {row.utt_id: row.text for row in read_decodes(path)}
+    return {utt: text for utt, (_, text) in read_utt_file(path).items()}
 
 
 def _check_ids(refs: dict[str, tuple[str, str]], utt_ids: list[str]) -> None:
@@ -189,13 +182,14 @@ def _check_ids(refs: dict[str, tuple[str, str]], utt_ids: list[str]) -> None:
         raise ValueError(f"hypothesis for unknown utterance {unknown[0]!r}")
 
 
-def _evaluate(refs: dict[str, tuple[str, str]], hyps: dict[str, tuple[str, str]]):
-    """Per-locale WER breakdowns of hyps against refs, both utt_id -> (locale, text)."""
+def _evaluate(refs: dict[str, tuple[str, str]], hyps: dict[str, str]):
+    """Per-locale WER breakdowns of hyps (utt_id -> text) against refs
+    (utt_id -> (locale, text))."""
     _check_ids(refs, sorted(hyps))
     per_locale: dict[str, list] = {}
     for utt in sorted(refs):
         locale, ref_text = refs[utt]
-        per_locale.setdefault(locale, []).append(wer(ref_text, hyps[utt][1]))
+        per_locale.setdefault(locale, []).append(wer(ref_text, hyps[utt]))
     return per_locale
 
 
@@ -203,7 +197,7 @@ def cmd_evaluate(args) -> int:
     refs_path = _require_file(args.refs, "reference file")
     hyps_path = _require_file(args.hyps, "hypothesis file")
     refs = read_utt_file(refs_path)
-    per_locale = _evaluate(refs, _read_hyps(hyps_path, refs))
+    per_locale = _evaluate(refs, _read_hyps(hyps_path))
     baseline = None
     if args.baseline:
         base_report = report_from_json(_require_file(args.baseline, "baseline report"))
@@ -261,7 +255,7 @@ def cmd_sweep_lambda(args) -> int:
     best = None
     for lam, rows in zip(values, decodes):
         write_decodes(rows, out_dir / f"decodes_lambda{lam:g}.tsv")
-        per_locale = _evaluate(refs, _decoded_hyps(rows, refs))
+        per_locale = _evaluate(refs, {row.utt_id: row.text for row in rows})
         report = aggregate(per_locale)
         lines.append(f"{lam:g},{report.macro_avg_wer:.17g},{report.micro_avg_wer:.17g}")
         print(f"lambda {lam:g}: macro wer {report.macro_avg_wer:.4f}, "

@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class FusionConfig:
 
     lam: float
     beam_size: int = 8
-    n_best: int = 1
     max_len: int | None = None
     length_normalize: bool = False
 
@@ -68,10 +67,6 @@ class FusionConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        if not 1 <= self.n_best <= self.beam_size:
-            raise ValueError(
-                f"n_best must be in [1, beam_size], got {self.n_best}"
-            )
         if self.max_len is not None and self.max_len < 0:
             raise ValueError("max_len must be >= 0")
 
@@ -186,11 +181,12 @@ def beam_search_fusion(
     lm,
     configs: FusionConfig | Sequence[FusionConfig],
 ):
-    """Beam search under the fused score; returns up to n_best finished hyps.
+    """Beam search under the fused score; returns every finished hypothesis,
+    best first (a caller wanting n takes [:n]).
 
     lm may be None (pure e2e), a Checkpoint, or any scorer with the two
     block calls of CheckpointLmScorer. configs is one FusionConfig (returns
-    its n-best list) or a sequence (returns one list per config). The
+    its list) or a sequence (returns one list per config). The
     configs' beams advance in lockstep, each selecting exactly as it would
     alone; the LM starts once and scores each step's distinct children of
     every config in one advance_rows call: O(beam * length) rows per config.
@@ -232,7 +228,7 @@ def beam_search_fusion(
     results = [
         sorted(pool, key=lambda h, norm=c.length_normalize: (
             -(h.combined / len(h.tokens) if norm else h.combined), h.tokens,
-        ))[: c.n_best]
+        ))
         for pool, c in zip(pools, configs)
     ]
     return results[0] if single else results

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fusion import save_lattice
 from .tokenizer import (
-    EOS_ID, WORD_SEP, Vocab, encode, train_wordpiece, read_corpus,
+    EOS_ID, WORD_SEP, encode, train_wordpiece, read_corpus,
 )
 
 __all__ = ["SynthPaths", "confusable", "gen_synthetic"]

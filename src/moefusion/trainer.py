@@ -1,10 +1,10 @@
 """Training loop: packed-batch cross-entropy plus the load-balance penalty.
 
 The loss is masked mean next-token negative log-likelihood over real targets,
-plus aux_loss_weight times the mean MoE load-balance term. Training stops at
-the step budget or earlier when the plateau rule fires: the mean loss of the
-last plateau_window steps improved by less than plateau_rel_tol relative to
-the window before it.
+plus aux_loss_weight times the mean MoE load-balance term. Training always
+starts from init_params(config, seed) and stops at the step budget or earlier
+when the plateau rule fires: the mean loss of the last PLATEAU_WINDOW steps
+improved by less than PLATEAU_REL_TOL relative to the window before it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from .packing import PackedBatch, pack_batches
 from .tokenizer import TokenSeq
 
 __all__ = ["StepRecord", "TrainLog", "batch_loss", "train"]
+
+# The plateau rule, read at each check.
+PLATEAU_WINDOW = 500
+PLATEAU_REL_TOL = 1e-3
 
 
 @dataclass
@@ -90,12 +94,13 @@ def batch_loss(
     return loss, extras
 
 
-def _plateaued(losses: list[float], window: int, rel_tol: float) -> bool:
+def _plateaued(losses: list[float]) -> bool:
+    window = PLATEAU_WINDOW
     if len(losses) < 2 * window:
         return False
     prev = float(np.mean(losses[-2 * window : -window]))
     last = float(np.mean(losses[-window:]))
-    return (prev - last) < rel_tol * abs(prev)
+    return (prev - last) < PLATEAU_REL_TOL * abs(prev)
 
 
 def train(
@@ -106,20 +111,17 @@ def train(
     seed: int,
     batch_size: int = 8,
     packing_factor: int = 4,
-    plateau_window: int = 500,
-    plateau_rel_tol: float = 1e-3,
-    init: Mapping[str, np.ndarray] | None = None,
     checkpoint_dir=None,
-    checkpoint_interval: int | None = None,
 ) -> tuple[Checkpoint, TrainLog]:
-    """Train from scratch (or `init`) for up to `steps` optimizer steps.
+    """Train from init_params(config, seed) for up to `steps` optimizer steps.
 
-    Fully deterministic for fixed inputs and seed. Raises NumericError naming
-    the step if the loss or a gradient goes non-finite.
+    Fully deterministic for fixed inputs and seed. The final checkpoint goes
+    to checkpoint_dir if given. Raises NumericError naming the step if the
+    loss or a gradient goes non-finite.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    params = dict(init) if init is not None else init_params(config, seed)
+    params = init_params(config, seed)
     state = AdafactorState()
     log = TrainLog()
 
@@ -173,13 +175,7 @@ def train(
             total = np.stack(counts).sum(axis=0)
             log.expert_fractions.append(total / max(total.sum(), 1))
 
-        if checkpoint_dir is not None and checkpoint_interval and \
-                step % checkpoint_interval == 0 and step < steps:
-            save_checkpoint(
-                Checkpoint(config=config, tensors=params, training_step=step),
-                f"{checkpoint_dir}/step{step:06d}",
-            )
-        if _plateaued(log.losses, plateau_window, plateau_rel_tol):
+        if _plateaued(log.losses):
             log.stopped_early = True
             break
 

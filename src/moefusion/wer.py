@@ -9,8 +9,9 @@ unweighted mean of per-locale WERs (macro) and the pooled-count WER (micro).
 
 from __future__ import annotations
 
+import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -174,15 +175,16 @@ def emit_report(report: LangReport, path: str | Path, fmt: str) -> None:
     """Write the report as CSV (one locale per row) or JSON (round-trips)."""
     path = Path(path)
     if fmt == "csv":
-        lines = ["locale,wer,baseline_wer,werr"]
+        rows = [["locale", "wer", "baseline_wer", "werr"]]
         for loc in sorted(report.locales):
             e = report.locales[loc]
             base = f"{e.baseline_wer:.17g}" if e.baseline_wer is not None else ""
             rel = f"{e.werr:.17g}" if e.werr is not None else ""
-            lines.append(f"{loc},{e.wer:.17g},{base},{rel}")
-        lines.append(f"macro_avg,{report.macro_avg_wer:.17g},,")
-        lines.append(f"micro_avg,{report.micro_avg_wer:.17g},,")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows.append([loc, f"{e.wer:.17g}", base, rel])
+        rows.append(["macro_avg", f"{report.macro_avg_wer:.17g}", "", ""])
+        rows.append(["micro_avg", f"{report.micro_avg_wer:.17g}", "", ""])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         return
     if fmt == "json":
         doc = {

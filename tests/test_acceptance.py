@@ -151,7 +151,7 @@ def test_criterion_05_fusion_search(capsys, synth_pipeline):
     identical = 0
     for seed in range(100):
         src = LatticeSource(random_lattice(v, 4, seed + 5000))
-        cfg = FusionConfig(lam=0.0, beam_size=8, n_best=4)
+        cfg = FusionConfig(lam=0.0, beam_size=8)
         with_lm = beam_search_fusion(src, ckpt, cfg)
         without = beam_search_fusion(src, None, cfg)
         if [h.tokens for h in with_lm] == [h.tokens for h in without]:
@@ -165,7 +165,7 @@ def test_criterion_05_fusion_search(capsys, synth_pipeline):
     for seed in range(50):
         src = LatticeSource(random_lattice(8, 4, seed + 6000))
         hyps = beam_search_fusion(
-            src, lm, FusionConfig(lam=0.3, beam_size=64, n_best=8))
+            src, lm, FusionConfig(lam=0.3, beam_size=64))
         oracle = exhaustive_oracle(src, lm, 0.3, max_len=3)
         if hyps[0].tokens == oracle.tokens and \
                 abs(hyps[0].combined - oracle.combined) < 1e-9:

@@ -249,7 +249,8 @@ def test_matmul_vjp_b_flattens_the_batch(a_shape):
     a = rng.standard_normal(a_shape)
     b = ad.Var(rng.standard_normal((4, 6)))
     g = rng.standard_normal(a_shape[:-1] + (6,))
-    ad.backward(ad.matmul(a, b), seed_grad=g)
+    # sum(out * g) hands the product the cotangent g, bit for bit
+    ad.backward(ad.sum_(ad.mul(ad.matmul(a, b), g)))
     # the batched-then-summed product the flattened GEMM replaces
     ref = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, 4, 6).sum(axis=0)
     assert b.grad.shape == (4, 6)

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, precedence, end-to-end flows."""
 
+import csv
+import importlib
 import json
 
 import numpy as np
@@ -10,6 +12,7 @@ import moefusion.fusion as fusion_mod
 import moefusion.model as model_mod
 from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main
+from moefusion.errors import read_text
 from moefusion.fusion import read_decodes, save_lattice
 from moefusion.wer import report_from_json
 
@@ -395,8 +398,8 @@ class TestEvaluateCommand:
         assert rep.locales["loc-a"].werr is None
         assert rep.locales["loc-b"].werr == 1.0
         assert (rep.improved, rep.tied, rep.regressed) == (1, 0, 1)
-        csv = (tmp_path / "s" / "report.csv").read_text().splitlines()
-        assert csv[1].startswith("loc-a,") and csv[1].endswith(",0,")
+        lines = (tmp_path / "s" / "report.csv").read_text().splitlines()
+        assert lines[1].startswith("loc-a,") and lines[1].endswith(",0,")
         assert json.loads((tmp_path / "s" / "report.json").read_text()
                           )["locales"]["loc-a"]["werr"] is None
         out = capsys.readouterr().out
@@ -445,6 +448,37 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == f"error: ValueError: {fault}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("columns", [3, 5])
+    def test_hyps_decoded_once(self, columns, tmp_path, monkeypatch):
+        refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
+        refs.write_text("u1\tloc-a\ta b\nu2\tloc-a\tc d\n")
+        row = "\tloc-a\ta b\n" if columns == 3 else "\ta b\t-1.0\t-2.0\t-3.0\n"
+        hyps.write_text("\n" + "".join(u + row for u in ("u1", "u2")))
+        reads = []
+
+        def spy(path, *args):
+            reads.append(str(path))
+            return read_text(path, *args)
+
+        # the package's `wer` function hides its wer module from attribute lookup
+        for mod in (cli_mod, fusion_mod, importlib.import_module("moefusion.wer")):
+            monkeypatch.setattr(mod, "read_text", spy)
+        assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert reads.count(str(hyps)) == 1
+
+    def test_report_csv_quotes_locales(self, tmp_path):
+        refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
+        refs.write_text('u1\ten,US\ta b\nu2\ta"b\tc d\n')
+        hyps.write_text('u1\ten,US\ta x\nu2\ta"b\tc d\n')
+        assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "report.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(r) == 4 for r in rows)
+        assert [r[0] for r in rows] == ["locale", 'a"b', "en,US", "macro_avg", "micro_avg"]
+        assert [float(r[1]) for r in rows[1:3]] == [0.0, 0.5]
+
 
 def with_ff_byte(path):
     """path with one 0xff byte, which no UTF-8 text holds, after its first byte."""
@@ -459,7 +493,7 @@ def with_ff_byte(path):
 def test_non_utf8_input_is_named(fault, rc, synth_pipeline, tmp_path, capsys):
     """One 0xff byte in a text input fails the command with that file's name:
     exit 1 for the config file, as for its other bad lines, else exit 2.
-    The hypotheses file fails in evaluate's sniff of its format."""
+    The hypotheses file fails in the reader its format picks."""
     files = {n: tmp_path / n for n in ("refs", "hyps", "manifest", "corpus", "config")}
     files["refs"].write_text("u1\tloc-a\ta b\n")
     files["hyps"].write_text("u1\tloc-a\ta b\n")

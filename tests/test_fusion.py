@@ -42,8 +42,6 @@ class TestScoringRule:
         with pytest.raises(ValueError):
             FusionConfig(lam=0.0, beam_size=0)
         with pytest.raises(ValueError):
-            FusionConfig(lam=0.0, beam_size=2, n_best=3)
-        with pytest.raises(ValueError):
             FusionConfig(lam=0.0, max_len=-1)
 
     def test_combined_decomposes_exactly(self):
@@ -51,7 +49,7 @@ class TestScoringRule:
         for seed in range(10):
             src = LatticeSource(random_lattice(12, 4, seed))
             hyps = beam_search_fusion(
-                src, lm, FusionConfig(lam=0.37, beam_size=6, n_best=6))
+                src, lm, FusionConfig(lam=0.37, beam_size=6))
             for h in hyps:
                 assert h.tokens[-1] == EOS_ID
                 assert abs(h.combined - (h.e2e_logprob + 0.37 * h.lm_logprob)) \
@@ -117,9 +115,9 @@ class TestBeamBasics:
         for seed in range(20):
             src = LatticeSource(random_lattice(10, 4, seed + 100))
             with_lm = beam_search_fusion(
-                src, lm, FusionConfig(lam=0.0, beam_size=8, n_best=4))
+                src, lm, FusionConfig(lam=0.0, beam_size=8))
             without = beam_search_fusion(
-                src, None, FusionConfig(lam=0.0, beam_size=8, n_best=4))
+                src, None, FusionConfig(lam=0.0, beam_size=8))
             assert [h.tokens for h in with_lm] == [h.tokens for h in without]
             for a, b in zip(with_lm, without):
                 assert a.combined == b.combined
@@ -128,8 +126,26 @@ class TestBeamBasics:
         src = LatticeSource(random_lattice(10, 4, seed=6))
         hyps = beam_search_fusion(
             src, TableLm.random(10, 4, seed=6),
-            FusionConfig(lam=0.4, beam_size=8, n_best=8))
+            FusionConfig(lam=0.4, beam_size=8))
         assert len(hyps) > 1
+        scores = [h.combined for h in hyps]
+        assert scores == sorted(scores, reverse=True)
+        assert len({h.tokens for h in hyps}) == len(hyps)
+
+    def test_returns_every_finished_hypothesis(self, monkeypatch):
+        built = []
+
+        class Counted(fusion_mod.Hypothesis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(fusion_mod, "Hypothesis", Counted)
+        src = LatticeSource(random_lattice(10, 5, seed=10))
+        hyps = beam_search_fusion(src, TableLm.random(10, 5, seed=10),
+                                  FusionConfig(lam=0.4, beam_size=4))
+        assert len(hyps) == len(built) > 1
+        assert sorted(map(id, hyps)) == sorted(map(id, built))
         scores = [h.combined for h in hyps]
         assert scores == sorted(scores, reverse=True)
         assert len({h.tokens for h in hyps}) == len(hyps)
@@ -137,7 +153,7 @@ class TestBeamBasics:
     def test_deterministic_across_calls(self):
         src = LatticeSource(random_lattice(10, 5, seed=7))
         lm = TableLm.random(10, 6, seed=7)
-        cfg = FusionConfig(lam=0.25, beam_size=6, n_best=3)
+        cfg = FusionConfig(lam=0.25, beam_size=6)
         a = beam_search_fusion(src, lm, cfg)
         b = beam_search_fusion(src, lm, cfg)
         assert [(h.tokens, h.combined) for h in a] == \
@@ -166,8 +182,7 @@ class TestBeamBasics:
         src = LatticeSource(random_lattice(10, 6, seed=9))
         for cap in (1, 2, 3):
             hyps = beam_search_fusion(
-                src, None, FusionConfig(lam=0.0, beam_size=8, n_best=8,
-                                        max_len=cap))
+                src, None, FusionConfig(lam=0.0, beam_size=8, max_len=cap))
             assert all(len(h.tokens) - 1 <= cap for h in hyps)
 
     def test_length_normalize_changes_ranking(self):
@@ -466,7 +481,6 @@ def sweep_configs(rng, lam_pool=(0.0, 0.15, 0.3, 0.3, 0.8, 2.0)):
         beam = int(rng.integers(1, 9))
         configs.append(FusionConfig(
             lam=float(rng.choice(lam_pool)), beam_size=beam,
-            n_best=int(rng.integers(1, beam + 1)),
             max_len=None if rng.random() < 0.5 else int(rng.integers(0, 6)),
             length_normalize=bool(rng.random() < 0.5),
         ))
@@ -479,7 +493,7 @@ class TestLockstepSearch:
     def test_single_config_returns_one_list(self):
         src = LatticeSource(random_lattice(10, 4, seed=40))
         lm = TableLm.random(10, 6, seed=40)
-        cfg = FusionConfig(lam=0.3, beam_size=4, n_best=2)
+        cfg = FusionConfig(lam=0.3, beam_size=4)
         assert beam_search_fusion(src, lm, [cfg]) == [beam_search_fusion(src, lm, cfg)]
 
     def test_matches_per_config_search_on_random_lattices(self):

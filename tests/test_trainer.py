@@ -49,11 +49,12 @@ class TestProgress:
             assert frac.shape == (CFG.num_experts,)
             assert abs(frac.sum() - 1.0) < 1e-9
 
-    def test_plateau_stops_early(self):
+    def test_plateau_stops_early(self, monkeypatch):
         # constant-ish tiny corpus levels off quickly
         data = [[4, 5, 6]] * 20
-        _, log = train(data, CFG, HYPER, steps=400, seed=0, batch_size=4,
-                       plateau_window=10, plateau_rel_tol=1e-4)
+        monkeypatch.setattr(trainer_mod, "PLATEAU_WINDOW", 10)
+        monkeypatch.setattr(trainer_mod, "PLATEAU_REL_TOL", 1e-4)
+        _, log = train(data, CFG, HYPER, steps=400, seed=0, batch_size=4)
         assert log.stopped_early
         assert len(log.steps) < 400
 
@@ -80,15 +81,6 @@ class TestDeterminism:
         b, _ = train(corpus(), CFG, HYPER, steps=5, seed=4, batch_size=4)
         assert any(not np.array_equal(a.tensors[n], b.tensors[n])
                    for n in a.tensors)
-
-    def test_interval_checkpoints_written(self, tmp_path):
-        train(corpus(), CFG, HYPER, steps=6, seed=0, batch_size=4,
-              checkpoint_dir=str(tmp_path / "run"), checkpoint_interval=2)
-        assert (tmp_path / "run" / "step000002" / "manifest.json").exists()
-        assert (tmp_path / "run" / "step000004" / "manifest.json").exists()
-        # final state lands in the directory root, not a step subdir
-        assert (tmp_path / "run" / "manifest.json").exists()
-        assert not (tmp_path / "run" / "step000006").exists()
 
 
 class TestPaddingNeutrality:
@@ -139,12 +131,12 @@ class TestMoeImpls:
 
 
 class TestFailure:
-    def test_divergence_names_the_step(self):
+    def test_divergence_names_the_step(self, monkeypatch):
         bad = {n: v * 1e200 for n, v in init_params(CFG, 0).items()}
+        monkeypatch.setattr(trainer_mod, "init_params", lambda config, seed: bad)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError, match=r"step 1"):
-                train(corpus(), CFG, HYPER, steps=5, seed=0, batch_size=4,
-                      init=bad)
+                train(corpus(), CFG, HYPER, steps=5, seed=0, batch_size=4)
 
     def test_non_finite_gradient_names_step_and_tensor(self, monkeypatch):
         real = trainer_mod.batch_loss
@@ -178,10 +170,3 @@ class TestFailure:
         var_params = {n: ad.Var(v) for n, v in init_params(CFG, 0).items()}
         with pytest.raises(ValueError):
             batch_loss(var_params, batch, CFG)
-
-    def test_resume_from_init(self):
-        a, _ = train(corpus(), CFG, HYPER, steps=5, seed=0, batch_size=4)
-        b, log = train(corpus(), CFG, HYPER, steps=3, seed=0, batch_size=4,
-                       init=a.tensors)
-        assert log.steps[0].loss < 10
-        assert b.training_step == 3
