@@ -10,15 +10,20 @@ log-distributions. max_len counts content tokens; a hypothesis reaching it
 may only extend with EOS, which makes the beam's search space identical to
 the exhaustive oracle's.
 
-One beam search can run several configs (a lambda sweep) in lockstep: each
-config's beam selects exactly as it would alone. Each step the LM scores the
-distinct children of every config in one advance_rows call, each child
-named by its parent's LM row * V + token.
+One beam search runs a set of jobs in lockstep, each a (source, config)
+pair: several configs over one source (a lambda sweep), several utterances,
+or both. Each job's beam selects exactly as it would alone. Every row of a
+step sits at the same position, so each step the LM scores the distinct
+children of every job in one advance_rows call, each child named by its
+parent's LM row * V + token; jobs that share a prefix share its row.
+decode_utterances runs the utterances of a directory in such searches, in
+batches whose estimated peak bytes stay within DECODE_BATCH_BYTES.
 
 A beam keeps its scores in arrays and builds Hypothesis objects only for
 finished decodes. Each input is floored (NaN rejected, values raised to
 LOG_FLOOR) once where it enters the search: the source floors its rows
-(LatticeSource at load), the search each step's LM rows as one block.
+(LatticeSource at load), the search each step's LM rows as one table, in
+place, which every job indexes.
 
 Ties anywhere resolve toward the lexicographically smaller token sequence,
 so results are deterministic for identical inputs.
@@ -49,6 +54,9 @@ __all__ = [
 
 LOG_FLOOR = -1e9
 ORACLE_LM_BYTES = 1 << 28  # the LM memory of exhaustive_oracle's widest level
+# The estimated peak bytes (_search_bytes) of one lockstep search of
+# decode_utterances: 4 sweep utterances of 6 lambdas, or 1-4 decode ones.
+DECODE_BATCH_BYTES = 5 << 18
 _ROW_NORM_TOL = 1e-5
 _BIN_MAGIC = b"latb1\n"
 
@@ -92,11 +100,16 @@ class PosteriorSource(Protocol):
     def rows(self, prefixes: Sequence[tuple[int, ...]], t: int) -> np.ndarray: ...
 
 
-def _floor(row: np.ndarray) -> np.ndarray:
-    row = np.asarray(row, dtype=np.float64)
-    if np.isnan(row).any():
+def _floor(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rows with NaN rejected and values raised to LOG_FLOOR, written into out
+    if given. float32 rows stay float32 (widening them later is exact); any
+    other dtype becomes float64."""
+    rows = np.asarray(rows)
+    if rows.dtype != np.float32:
+        rows = np.asarray(rows, dtype=np.float64)
+    if np.isnan(rows).any():
         raise NumericError("posterior row contains NaN")
-    return np.maximum(row, LOG_FLOOR)
+    return np.maximum(rows, LOG_FLOOR, out=out)
 
 
 class LatticeSource:
@@ -104,11 +117,12 @@ class LatticeSource:
 
     Row t scores the token at position t regardless of the prefix; row
     indices beyond T-1 do not exist, so decodes carry at most T-1 content
-    tokens plus EOS. Rows must be normalized within 1e-5.
+    tokens plus EOS. Rows must be normalized within 1e-5. float32 frames (a
+    binary lattice's) are kept as float32, others as float64.
     """
 
     def __init__(self, frames: np.ndarray):
-        frames = np.asarray(frames, dtype=np.float64)
+        frames = np.asarray(frames)
         if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 4:
             raise ValueError(
                 f"lattice must be (T >= 1, V >= 4), got {frames.shape}"
@@ -135,8 +149,9 @@ class CheckpointLmScorer:
 
     start_rows() gives BOS's one-row block and its (V,) row;
     advance_rows(block, parents, tokens) gives a new block, row r extending
-    row parents[r] of block by tokens[r], and its (R, V) rows. A block is a
-    value: no call changes it, so any block may be advanced again. Here BOS
+    row parents[r] of block by tokens[r], and its (R, V) float64 rows, which
+    the caller may overwrite. A block is a value: no call changes it, so any
+    block may be advanced again. Here BOS
     runs lm_score_step and advance_rows runs lm_score_rows; the scorer keeps
     no blocks.
     """
@@ -177,7 +192,7 @@ def _content_limit(source, config: FusionConfig) -> int:
 
 
 def beam_search_fusion(
-    source: PosteriorSource,
+    source: PosteriorSource | Sequence[PosteriorSource],
     lm,
     configs: FusionConfig | Sequence[FusionConfig],
 ):
@@ -185,45 +200,54 @@ def beam_search_fusion(
     best first (a caller wanting n takes [:n]).
 
     lm may be None (pure e2e), a Checkpoint, or any scorer with the two
-    block calls of CheckpointLmScorer. configs is one FusionConfig (returns
-    its list) or a sequence (returns one list per config). The
-    configs' beams advance in lockstep, each selecting exactly as it would
-    alone; the LM starts once and scores each step's distinct children of
-    every config in one advance_rows call: O(beam * length) rows per config.
+    block calls of CheckpointLmScorer. The search runs jobs in lockstep,
+    each a (source, config) pair, each selecting exactly as it would alone.
+    configs is one FusionConfig (returns its list) or a sequence (returns one
+    list per config); source is one source, shared by every config, or a
+    sequence of them with one vocab, source[i] going with configs[i]. The LM
+    starts once and scores each step's distinct children of every job in
+    one advance_rows call: O(beam * length) rows per job, fewer where jobs
+    share prefixes.
     """
     single = isinstance(configs, FusionConfig)
     configs = [configs] if single else list(configs)
+    sources = list(source) if isinstance(source, (list, tuple)) else [source] * len(configs)
+    if len(sources) != len(configs):
+        raise ValueError(f"{len(sources)} sources for {len(configs)} configs")
     lm_scorer = _wrap_lm(lm)
-    _check_vocab(source, lm_scorer)
-    limits = [_content_limit(source, c) for c in configs]
-    v = source.vocab_size
+    for s in sources:
+        _check_vocab(s, lm_scorer)
+    v = sources[0].vocab_size if sources else 0
+    if any(s.vocab_size != v for s in sources):
+        raise VocabMismatchError("the sources of one search differ in vocab size")
+    limits = [_content_limit(s, c) for s, c in zip(sources, configs)]
 
-    block, root = None, np.zeros((1, v))
+    # The step's floored LM rows, one per distinct child; zeros without an LM.
+    block, table = None, np.broadcast_to(0.0, (1, v))
     if lm_scorer is not None:
         block, dist0 = lm_scorer.start_rows()
-        root = _floor(dist0)[None]
+        table = _floor(dist0)[None]
     # A beam is its lex-sorted token prefixes, a (B, 3) array of their
-    # (e2e, lm, combined) scores, each prefix's row in the LM block and the
-    # (B, V) floored LM rows (zeros without an LM).
-    beams = [([()], np.zeros((1, 3)), np.zeros(1, dtype=np.int64), root)
-             for _ in configs]
+    # (e2e, lm, combined) scores and each prefix's row in block and table.
+    beams = [([()], np.zeros((1, 3)), np.zeros(1, dtype=np.int64)) for _ in configs]
     pools: list[list[Hypothesis]] = [[] for _ in configs]
 
     for t in range(max(limits, default=-1) + 1):
         live = [i for i, beam in enumerate(beams) if beam[0]]
         if not live:
             break
-        kids = [_beam_step(source, configs[i], beams[i], t, t == limits[i], pools[i])
-                for i in live]
+        kids = [_beam_step(sources[i], configs[i], beams[i], table, t, t == limits[i],
+                           pools[i]) for i in live]
         keys, inverse = np.unique(np.concatenate([k for _, _, k in kids]),
                                   return_inverse=True)
-        dist = np.zeros((keys.size, v))
-        if lm_scorer is not None and keys.size:
-            block, dist = lm_scorer.advance_rows(block, *np.divmod(keys, v))
-            dist = _floor(dist)
+        if lm_scorer is None:
+            table = np.broadcast_to(0.0, (keys.size, v))
+        elif keys.size:
+            block, table = lm_scorer.advance_rows(block, *np.divmod(keys, v))
+            table = _floor(table, out=table)
         split = np.split(inverse, np.cumsum([len(k) for _, _, k in kids])[:-1])
         for i, (prefixes, scores, _), rows in zip(live, kids, split):
-            beams[i] = (prefixes, scores, rows, dist[rows])
+            beams[i] = (prefixes, scores, rows)
 
     results = [
         sorted(pool, key=lambda h, norm=c.length_normalize: (
@@ -234,15 +258,15 @@ def beam_search_fusion(
     return results[0] if single else results
 
 
-def _beam_step(source, config, beam, t, last, pool):
-    """Select one config's children at step t. Finished children go to pool
-    as Hypothesis objects; the rest come back as (prefixes, scores, keys),
-    where a child's key, its parent's LM row * V + its token, names it in
-    the step's LM block."""
-    prefixes, scores, lm_rows, lm_dist = beam
+def _beam_step(source, config, beam, table, t, last, pool):
+    """Select one job's children at step t, its parents' LM rows being rows
+    of table. Finished children go to pool as Hypothesis objects; the rest
+    come back as (prefixes, scores, keys), where a child's key, its parent's
+    LM row * V + its token, names it in the step's LM block."""
+    prefixes, scores, lm_rows = beam
     v = source.vocab_size
     e2e_rows = source.rows(prefixes, t)
-    totals = scores[:, 2:] + e2e_rows + config.lam * lm_dist
+    totals = scores[:, 2:] + e2e_rows + config.lam * table[lm_rows]
     # Survivors by partial selection: O(B * V) plus a sort of the ties at
     # the cut, in the order a full (-score, sequence) sort gives.
     if last:  # content budget exhausted: EOS is the only legal extension
@@ -252,7 +276,7 @@ def _beam_step(source, config, beam, t, last, pool):
         parents, toks = np.divmod(_select(totals.ravel(), config.beam_size), v)
     # Selected totals are finite, so every child score is.
     e2e = scores[parents, 0] + e2e_rows[parents, toks]
-    lm = scores[parents, 1] + lm_dist[parents, toks]
+    lm = scores[parents, 1] + table[lm_rows[parents], toks]
     child_scores = np.stack([e2e, lm, e2e + config.lam * lm], axis=1)
 
     ends = toks == EOS_ID
@@ -330,7 +354,7 @@ def exhaustive_oracle(
             lm_rows = np.broadcast_to(0.0, (len(prefixes), v))
         else:
             block, dist = lm_scorer.advance_rows(block, parents, toks)
-            lm_rows = _floor(dist)
+            lm_rows = _floor(dist, out=dist)
 
 
 def save_lattice(frames: np.ndarray, path: str | Path, binary: bool = False) -> None:
@@ -353,7 +377,8 @@ def save_lattice(frames: np.ndarray, path: str | Path, binary: bool = False) -> 
 
 
 def load_lattice(path: str | Path) -> np.ndarray:
-    """Read either lattice format back into a float64 (T, V) array.
+    """Read either lattice format back into a (T, V) array: float32 for a
+    binary lattice, as stored, and float64 for a text one.
 
     A malformed file raises ValueError; decode_utterances names the file.
     """
@@ -371,7 +396,7 @@ def load_lattice(path: str | Path) -> np.ndarray:
                 f"header implies {need}"
             )
         arr = np.frombuffer(raw, dtype="<f4", count=t * v, offset=off)
-        return arr.astype(np.float64).reshape(t, v)
+        return arr.astype(np.float32).reshape(t, v)
     text = raw.decode("utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -431,6 +456,39 @@ def _checked_lattice(path: Path, vocab: Vocab, configs: Sequence[FusionConfig],
     return source
 
 
+def _search_bytes(source: LatticeSource, configs: Sequence[FusionConfig], lm_config) -> int:
+    """Estimated peak bytes that source's jobs, one per config, add to a
+    lockstep search.
+
+    The configs' beams mostly share prefixes, so the KV term counts the
+    widest beam's rows once: a step's input and output blocks, one position
+    per lattice row. Each job adds about two (B, V) float64 arrays (the LM
+    rows it shares with no other job, its scores and its pool; fitted to
+    tracemalloc peaks at the benchmark's shapes), and the lattice's frames
+    are held until the search ends.
+    """
+    kv = 0 if lm_config is None else \
+        16 * lm_config.num_layers * lm_config.num_heads * lm_config.head_dim
+    widest = max(c.beam_size for c in configs)
+    rows = sum(c.beam_size for c in configs)
+    return (2 * kv * widest * source.max_steps + 16 * rows * source.vocab_size
+            + source.frames.nbytes)
+
+
+def _batches(costs: Sequence[int], budget: int) -> list[list[int]]:
+    """Consecutive runs of indices whose costs sum to at most budget; an
+    index whose cost alone is over it runs alone."""
+    batches: list[list[int]] = []
+    total = 0
+    for i, cost in enumerate(costs):
+        if not batches or total + cost > budget:
+            batches.append([])
+            total = 0
+        batches[-1].append(i)
+        total += cost
+    return batches
+
+
 def decode_utterances(
     lattice_dir: str | Path,
     lm,
@@ -441,11 +499,13 @@ def decode_utterances(
     """Beam-decode every *.lat file in a directory, sorted by utterance id.
 
     configs is one FusionConfig (returns its rows) or a sequence (returns
-    one row list per config). Every lattice is loaded and checked against
-    every config, then check_ids (if given) is called with the utterance ids,
-    before the first is decoded, so a bad file or id fails the run before any
-    search work. Each is loaded once more for one beam search over all
-    configs: two loads per lattice per run, one held at a time.
+    one row list per config). Every lattice is loaded, once per run, and
+    checked against every config, then check_ids (if given) is called with
+    the utterance ids, before the first is decoded, so a bad file or id
+    fails the run before any search work. The utterances are then decoded
+    in batches of consecutive ids, one lockstep search per batch with a job
+    per utterance and config; a batch's estimated peak bytes (_search_bytes)
+    stay within DECODE_BATCH_BYTES, and an utterance over it runs alone.
     """
     single = isinstance(configs, FusionConfig)
     configs = [configs] if single else list(configs)
@@ -454,22 +514,25 @@ def decode_utterances(
     if not paths:
         raise FileNotFoundError(f"no *.lat files in {lattice_dir}")
     lm_config = getattr(_wrap_lm(lm), "config", None)
-    for p in paths:
-        _checked_lattice(p, vocab, configs, lm_config)
+    sources = [_checked_lattice(p, vocab, configs, lm_config) for p in paths]
     if check_ids is not None:
         check_ids([p.stem for p in paths])
+    costs = [_search_bytes(s, configs, lm_config) for s in sources]
     rows: list[list[DecodeRow]] = [[] for _ in configs]
-    for p in paths:
-        source = _checked_lattice(p, vocab, configs, lm_config)
-        for out, hyps in zip(rows, beam_search_fusion(source, lm, configs)):
-            best = hyps[0]
-            out.append(DecodeRow(
-                utt_id=p.stem,
-                text=decode_text(best.tokens, vocab),
-                e2e_logprob=best.e2e_logprob,
-                lm_logprob=best.lm_logprob,
-                combined=best.combined,
-            ))
+    for batch in _batches(costs, DECODE_BATCH_BYTES):
+        jobs = [sources[u] for u in batch for _ in configs]
+        found = beam_search_fusion(jobs, lm, configs * len(batch))
+        for k, u in enumerate(batch):
+            sources[u] = None  # the batch is done with its lattice
+            for out, hyps in zip(rows, found[k * len(configs):(k + 1) * len(configs)]):
+                best = hyps[0]
+                out.append(DecodeRow(
+                    utt_id=paths[u].stem,
+                    text=decode_text(best.tokens, vocab),
+                    e2e_logprob=best.e2e_logprob,
+                    lm_logprob=best.lm_logprob,
+                    combined=best.combined,
+                ))
     return rows[0] if single else rows
 
 
@@ -484,13 +547,18 @@ def write_decodes(rows: Sequence[DecodeRow], path: str | Path) -> None:
 
 
 def read_decodes(path: str | Path) -> list[DecodeRow]:
-    rows = []
+    """The rows of a decode file; a malformed line or a repeated utterance id
+    raises ValueError naming path:line."""
+    rows, seen = [], set()
     for ln, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         cols = line.split("\t")
         if len(cols) != 5:
             raise ValueError(f"{path}:{ln}: expected 5 tab-separated columns")
+        if cols[0] in seen:
+            raise ValueError(f"{path}:{ln}: duplicate utterance id {cols[0]!r}")
+        seen.add(cols[0])
         rows.append(DecodeRow(
             utt_id=cols[0], text=cols[1],
             e2e_logprob=float(cols[2]), lm_logprob=float(cols[3]),

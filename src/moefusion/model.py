@@ -290,10 +290,15 @@ def _output_head(x, params, config: MoeLmConfig):
     """Final layer norm, output projection (tied or not) and log-softmax."""
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     if config.tied_embeddings:
-        logits = x @ ad.swapaxes(params["embed.weight"], 0, 1)
+        w = ad.swapaxes(params["embed.weight"], 0, 1)
     else:
-        logits = x @ params["lm_head.weight"]
-    return ad.log_softmax(logits, axis=-1)
+        w = params["lm_head.weight"]
+    if isinstance(w, np.ndarray):
+        # OpenBLAS rounds a row of a product with a transposed view
+        # differently as the row count changes; with a contiguous (d, V) copy
+        # it does not, below about 1e6 multiply-adds, as lm_score_rows needs.
+        w = np.ascontiguousarray(w)
+    return ad.log_softmax(x @ w, axis=-1)
 
 
 def _mixture(flat, gate_weight, expert, k: int):
@@ -433,7 +438,8 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, block: 
     read. BLAS rounds one row (gemv) unlike a block (gemm), so a lone row
     runs as two equal rows (here, and an expert's in _ffn): a row's value
     then does not depend, bit for bit, on the other rows, given that gemm
-    rounds a row alike for any row count >= 2 (the lockstep tests check).
+    rounds a row alike for any row count >= 2 with contiguous weights (see
+    _output_head; the lockstep tests check).
     """
     p = block.position
     if p >= config.max_seq_len:

@@ -49,11 +49,11 @@ def write_bad_lattice(path, case, v):
 
 
 def spy_searches(monkeypatch) -> list:
-    """A list that gains one entry per beam search run from now on."""
+    """A list that gains, per beam search run from now on, its job count."""
     searches = []
     real_search = fusion_mod.beam_search_fusion
     monkeypatch.setattr(fusion_mod, "beam_search_fusion",
-                        lambda *a: searches.append(1) or real_search(*a))
+                        lambda s, lm, c: searches.append(len(s)) or real_search(s, lm, c))
     return searches
 
 
@@ -449,6 +449,19 @@ class TestEvaluateCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("columns", [3, 5])
+    def test_repeated_id_named(self, columns, tmp_path, capsys):
+        refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
+        refs.write_text("u1\tloc-a\ta b\n")
+        rows = (["\tloc-a\ta b\n", "\tloc-a\tx y\n"] if columns == 3
+                else ["\ta b\t-1.0\t-2.0\t-3.0\n", "\tx y\t-1.0\t-2.0\t-3.0\n"])
+        hyps.write_text("u1" + rows[0] + "\nu1" + rows[1])
+        assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: ValueError: {hyps}:3: duplicate utterance id 'u1'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("columns", [3, 5])
     def test_hyps_decoded_once(self, columns, tmp_path, monkeypatch):
         refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
         refs.write_text("u1\tloc-a\ta b\nu2\tloc-a\tc d\n")
@@ -623,7 +636,8 @@ class TestSweepCommand:
 
         assert self.sweep(lat_dir, paths.vocab, lm_dir, refs, out, "--values", "0,0.3",
                           "--beam", "2", "--max-len", "63") == 0
-        assert searches == [1, 1]  # one search per utterance for both lambdas
+        # one lockstep search: both utterances under both lambdas fit one batch
+        assert searches == [4]
         assert [r.utt_id for r in read_decodes(out / "decodes_lambda0.3.tsv")] == \
             ["a_short", "b_long"]
 
@@ -686,10 +700,12 @@ def test_decode_reaches_the_traced_lookup_sites(synth_pipeline, lm_dir, tmp_path
                                                 monkeypatch, capsys):
     """The traced benchmark wraps fusion.beam_search_fusion,
     fusion.lm_score_step and model.gate_topk where decode looks them up;
-    each utterance must reach the last two, or the traced metrics have no
-    spans to report."""
+    each search (a batch of utterances) must reach the last two, or the
+    traced metrics have no spans to report, and the searches together
+    decode each lattice once."""
     paths = synth_pipeline["paths"]
-    per_utt: list[dict] = []
+    per_search: list[dict] = []
+    jobs = []
     states = []
 
     def counting(module, name, after=None):
@@ -697,9 +713,10 @@ def test_decode_reaches_the_traced_lookup_sites(synth_pipeline, lm_dir, tmp_path
 
         def wrapped(*args, **kwargs):
             if name == "beam_search_fusion":
-                per_utt.append({"lm_score_step": 0, "gate_topk": 0})
+                per_search.append({"lm_score_step": 0, "gate_topk": 0})
+                jobs.extend(args[0])
             else:
-                per_utt[-1][name] += 1
+                per_search[-1][name] += 1
             out = fn(*args, **kwargs)
             if after is not None:
                 after(out)
@@ -713,9 +730,37 @@ def test_decode_reaches_the_traced_lookup_sites(synth_pipeline, lm_dir, tmp_path
     assert main(["decode", "--lattice-dir", str(paths.lattice_dir),
                  "--vocab", str(paths.vocab), "--lm", str(lm_dir), "--lambda", "0.3",
                  "--beam", "4", "--output", str(tmp_path / "d.tsv")]) == 0
-    assert len(per_utt) == len(list(paths.lattice_dir.glob("*.lat")))
-    assert all(c["lm_score_step"] >= 1 and c["gate_topk"] >= 1 for c in per_utt)
+    lattices = len(list(paths.lattice_dir.glob("*.lat")))
+    assert 1 < len(per_search) < lattices
+    assert len(jobs) == len({id(s) for s in jobs}) == lattices
+    assert all(c["lm_score_step"] >= 1 and c["gate_topk"] >= 1 for c in per_search)
     state = states[0]
     assert state.keys and len(state.keys) == len(state.values)
     assert all(isinstance(a, np.ndarray) for a in state.keys + state.values)
     state._bench_prefix = (1,)
+
+
+def test_batches_write_what_lone_searches_write(synth_pipeline, lm_dir, tmp_path,
+                                                monkeypatch, capsys):
+    """decode and sweep-lambda write the same bytes whether each utterance
+    runs in a search of its own (a zero budget) or in the default batches."""
+    paths = synth_pipeline["paths"]
+    common = ["--lattice-dir", str(paths.lattice_dir), "--vocab", str(paths.vocab),
+              "--lm", str(lm_dir), "--beam", "4"]
+
+    def run(out):
+        out.mkdir()
+        assert main(["decode", *common, "--lambda", "0.3", "--output", str(out / "d.tsv")]) == 0
+        assert main(["sweep-lambda", *common, "--refs", str(paths.refs),
+                     "--values", "0,0.3,1.5", "--output-dir", str(out / "sweep")]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    searches = spy_searches(monkeypatch)
+    batched = run(tmp_path / "batched")
+    utts = len(list(paths.lattice_dir.glob("*.lat")))
+    assert sum(searches) == utts * 4 and len(searches) < 10
+    searches.clear()
+    monkeypatch.setattr(fusion_mod, "DECODE_BATCH_BYTES", 0)
+    alone = run(tmp_path / "alone")
+    assert searches == [1] * utts + [3] * utts
+    assert alone == batched and len(alone) == 5

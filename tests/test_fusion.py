@@ -577,6 +577,119 @@ class TestLockstepSearch:
         assert together == [decode_utterances(tmp_path, lm, c, vocab) for c in configs]
 
 
+def utterance_jobs(rng, v, seed, max_rows=12):
+    """Jobs over 2-5 lattices of 1 to max_rows rows, each lattice under 1-3
+    configs that differ in every field."""
+    sources, configs = [], []
+    for i in range(int(rng.integers(2, 6))):
+        src = LatticeSource(random_lattice(v, int(rng.integers(1, max_rows + 1)), seed * 10 + i))
+        for c in sweep_configs(rng)[:int(rng.integers(1, 4))]:
+            sources.append(src)
+            configs.append(c)
+    return sources, configs
+
+
+class TestLockstepUtterances:
+    """Jobs over different sources in one search equal one search per job,
+    exactly; the LM's rows then come from several utterances per step."""
+
+    @staticmethod
+    def assert_lone_searches_match(sources, lm, configs):
+        together = beam_search_fusion(sources, lm, configs)
+        assert together == [beam_search_fusion(s, lm, c) for s, c in zip(sources, configs)]
+
+    def test_table_lm(self):
+        rng = np.random.default_rng(1300)
+        for seed in range(30):
+            v = int(rng.integers(6, 14))
+            sources, configs = utterance_jobs(rng, v, seed)
+            self.assert_lone_searches_match(sources, TableLm.random(v, 9, seed=seed), configs)
+
+    def test_without_lm(self):
+        rng = np.random.default_rng(1301)
+        for seed in range(10):
+            sources, configs = utterance_jobs(rng, 9, seed + 100)
+            self.assert_lone_searches_match(sources, None, configs)
+
+    def test_checkpoint(self, trained):
+        # Every row of a step sits at one position, so the rows of several
+        # utterances share one lm_score_rows call (see the row-count note in
+        # TestLockstepSearch.test_matches_per_config_search_with_checkpoint).
+        rng = np.random.default_rng(1302)
+        for seed in range(4):
+            sources, configs = utterance_jobs(rng, trained.config.vocab_size, seed + 200)
+            self.assert_lone_searches_match(sources, trained, configs)
+
+    def test_model_source_among_lattices(self, trained):
+        rng = np.random.default_rng(1303)
+        sources, configs = utterance_jobs(rng, trained.config.vocab_size, 300, max_rows=8)
+        model = ModelSource(trained)
+        sources += [model, model]
+        configs += [FusionConfig(lam=0.3, beam_size=3, max_len=4),
+                    FusionConfig(lam=0.0, beam_size=2, max_len=6)]
+        self.assert_lone_searches_match(sources, TableLm.random(8, 5, seed=303), configs)
+
+    def test_jobs_must_pair_and_share_a_vocab(self):
+        cfg = FusionConfig(lam=0.3)
+        a, b = LatticeSource(random_lattice(8, 4, seed=1)), LatticeSource(random_lattice(9, 4, 2))
+        with pytest.raises(ValueError, match="2 sources for 1 configs"):
+            beam_search_fusion([a, a], None, [cfg])
+        with pytest.raises(VocabMismatchError):
+            beam_search_fusion([a, b], None, [cfg, cfg])
+
+
+class TestDecodeBatches:
+    def test_batches_keep_order_and_budget(self):
+        assert fusion_mod._batches([5, 20, 3, 3, 3, 9], 10) == [[0], [1], [2, 3, 4], [5]]
+        assert fusion_mod._batches([4, 4], 0) == [[0], [1]]
+        assert fusion_mod._batches([], 10) == []
+
+    def test_utterance_over_budget_runs_alone(self, tmp_path, synth_pipeline, monkeypatch):
+        vocab, ckpt = synth_pipeline["vocab"], synth_pipeline["checkpoint"]
+        rows = {"a": 3, "b": 4, "c": 40, "d": 5, "e": 6, "f": 7}
+        for name, n in rows.items():
+            save_lattice(random_lattice(vocab.size, n, seed=n), tmp_path / f"{name}.lat")
+        cfg = FusionConfig(lam=0.3, beam_size=2)
+        cost = {name: fusion_mod._search_bytes(
+            LatticeSource(load_lattice(tmp_path / f"{name}.lat")), [cfg], ckpt.config)
+            for name in rows}
+        name_of = {n: name for name, n in rows.items()}
+        searches = []
+        real = fusion_mod.beam_search_fusion
+        monkeypatch.setattr(fusion_mod, "beam_search_fusion",
+                            lambda s, lm, c: searches.append(s) or real(s, lm, c))
+        alone = decode_utterances(tmp_path, ckpt, cfg, vocab)
+        for budget, want in ((cost["c"] - 1, [["a", "b"], ["c"], ["d", "e", "f"]]),
+                             (cost["a"] + cost["b"], [["a", "b"], ["c"], ["d"], ["e"], ["f"]])):
+            monkeypatch.setattr(fusion_mod, "DECODE_BATCH_BYTES", budget)
+            searches.clear()
+            assert decode_utterances(tmp_path, ckpt, cfg, vocab) == alone
+            batches = [[name_of[s.max_steps] for s in jobs] for jobs in searches]
+            assert batches == want
+            assert all(sum(cost[n] for n in b) <= budget for b in batches if len(b) > 1)
+
+
+def test_batched_decode_makes_one_lm_call_per_step_per_batch(synth_pipeline, monkeypatch):
+    """A work count that needs no timing: a batch makes one advance_rows call
+    per step of its longest lattice, not one per step of each utterance, so
+    a fall-back to one search per utterance fails here on any host."""
+    searches, calls = [], []
+    real_search = fusion_mod.beam_search_fusion
+    monkeypatch.setattr(fusion_mod, "beam_search_fusion",
+                        lambda s, lm, c: searches.append(s) or real_search(s, lm, c))
+    real_advance = CheckpointLmScorer.advance_rows
+    monkeypatch.setattr(CheckpointLmScorer, "advance_rows",
+                        lambda self, *a: calls.append(1) or real_advance(self, *a))
+    paths = synth_pipeline["paths"]
+    decode_utterances(paths.lattice_dir, synth_pipeline["checkpoint"],
+                      FusionConfig(lam=0.3, beam_size=4), synth_pipeline["vocab"])
+    longest = [max(s.max_steps for s in jobs) - 1 for jobs in searches]
+    per_utterance = [s.max_steps - 1 for jobs in searches for s in jobs]
+    assert len(per_utterance) == len(list(paths.lattice_dir.glob("*.lat"))) == 60
+    assert len(calls) == sum(longest)
+    assert (len(searches), len(calls), sum(per_utterance)) == (4, 24, 310)
+
+
 def random_block(rng, kind):
     """A (B, V) block of fused scores of one kind, and B and V."""
     b, v = int(rng.integers(1, 11)), int(rng.integers(4, 31))

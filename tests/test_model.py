@@ -10,7 +10,7 @@ from helpers import dense_mixture, fd_check, record_var_inits
 from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
-    FfnParams, MoeLmConfig, _ffn, _mixture, _segment_positions, build_forward,
+    FfnParams, LmState, MoeLmConfig, _ffn, _mixture, _segment_positions, build_forward,
     gate_topk, init_params, initial_state, lm_forward, lm_score_rows, lm_score_step,
     param_shapes, positional_table,
 )
@@ -469,6 +469,25 @@ class TestScoreStep:
         sub = rng.permutation(n_rows)[: max(1, n_rows // 3)]
         _, again = lm_score_rows(params, tiny_config, src, parents[sub], tokens[sub])
         assert np.array_equal(again, got[sub])
+
+    def test_row_independent_of_its_block_at_decode_shape(self):
+        """At the decode benchmark's LM shape (d=32, V=221) a row's scores do
+        not depend on the rows scored with it, up to 128 rows: the lockstep
+        searches over utterances and configs rely on it. A product with the
+        transposed embedding view failed this from 4 rows on."""
+        config = MoeLmConfig(num_layers=2, model_dim=32, num_heads=2, head_dim=16,
+                             num_experts=4, experts_per_token=2, vocab_size=221,
+                             max_seq_len=64)
+        params = init_params(config, 0)
+        rng = np.random.default_rng(31)
+        for n_rows in (5, 40, 128):
+            block = LmState(*([rng.standard_normal((6, 2, 9, 16)) for _ in range(2)]
+                              for _ in range(2)))
+            parents, tokens = rng.integers(0, 6, n_rows), rng.integers(4, 221, n_rows)
+            _, got = lm_score_rows(params, config, block, parents, tokens)
+            for sub in (np.sort(rng.permutation(n_rows)[: n_rows // 3 + 1]), [n_rows - 1]):
+                _, again = lm_score_rows(params, config, block, parents[sub], tokens[sub])
+                assert np.array_equal(again, got[sub]), (n_rows, len(sub))
 
 
 class TestPlainArrays:
