@@ -12,13 +12,13 @@ from .model import (
     GateOutput, LmState, MoeLmConfig,
     gate_topk, init_params, lm_forward, lm_score_step,
 )
-from .numerics import GradCheckReport, grad_check, log_softmax, logsumexp
+from .numerics import log_softmax, logsumexp
 from .packing import PackedBatch, pack_batches
 from .tokenizer import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID,
     TokenSeq, Vocab, decode_text, encode, train_wordpiece,
 )
 from .trainer import TrainLog, train
-from .wer import LangReport, WerBreakdown, aggregate, emit_report, wer, werr
+from .wer import LangReport, WerBreakdown, aggregate, emit_report, werr
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
 """Adafactor optimizer: factored second moments, no first moment.
 
-The second-moment decay follows beta2_hat(t) = min(beta2, 1 - t^-0.8) with
+The second-moment decay follows beta2_hat(t) = min(BETA2, 1 - t^-0.8) with
 steps counted from 1. Every matrix is factored, keeping only row and column
 mean accumulators r and c; vectors and scalars keep the full second moment.
 The factored moment is vhat = outer(r, c) / mean(r), but it is never built:
 the gradient is scaled by sqrt(mean(r)) / sqrt(r) along rows and by
 1 / sqrt(c) along columns, which is g / sqrt(vhat) up to rounding.
-Updates are RMS-clipped at clip_threshold before the learning-rate scale.
+Updates are RMS-clipped at CLIP_THRESHOLD before the learning-rate scale.
 """
 
 from __future__ import annotations
@@ -23,31 +23,29 @@ __all__ = ["LR_SCHEDULES", "AdafactorHyper", "AdafactorState", "adafactor_step"]
 
 _EPS1 = 1e-30
 _DECAY_EXPONENT = 0.8
+# The decay cap and the update clip, read at each step.
+BETA2 = 0.99
+CLIP_THRESHOLD = 1.0
 LR_SCHEDULES = ("inverse_sqrt", "constant")
 
 
 @dataclass(frozen=True)
 class AdafactorHyper:
-    beta2: float = 0.99
-    clip_threshold: float = 1.0
     learning_rate: float = 0.05
     warmup_steps: int = 1000
     lr_schedule: str = "inverse_sqrt"
 
     def __post_init__(self):
-        if not 0.0 < self.beta2 < 1.0:
-            raise ConfigError(f"beta2 must be in (0, 1), got {self.beta2}")
-        for name in ("learning_rate", "clip_threshold"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and positive, "
-                                  f"got {getattr(self, name)}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.warmup_steps < 1:
             raise ConfigError("warmup_steps must be >= 1")
 
     def decay(self, t: int) -> float:
-        return min(self.beta2, 1.0 - float(t) ** -_DECAY_EXPONENT)
+        return min(BETA2, 1.0 - float(t) ** -_DECAY_EXPONENT)
 
     def lr(self, t: int) -> float:
         if self.lr_schedule == "constant":
@@ -111,6 +109,6 @@ def adafactor_step(
             u = np.sqrt(v, out=sq)
             np.divide(g, u, out=u)
         rms_u = np.sqrt(np.vdot(u, u) / u.size)
-        u *= lr / max(1.0, rms_u / hyper.clip_threshold)
+        u *= lr / max(1.0, rms_u / CLIP_THRESHOLD)
         new_params[name] = np.subtract(np.asarray(p, dtype=np.float64), u, out=u)
     return new_params, state

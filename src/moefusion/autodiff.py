@@ -7,7 +7,7 @@ returns a bare ndarray and records nothing, so the same layer code runs a
 training graph on Vars and a plain numpy computation on arrays. Var supports
 `+` and `@` (either side may be an ndarray); every other op is a function.
 The op set is exactly what the language model forward pass and its loss
-need: elementwise add, mul and scale; matmul, reshape, swapaxes and sum_;
+need: elementwise add and mul; matmul, reshape, swapaxes and sum_;
 softmax, log_softmax, gelu and layer_norm; ffn, the two-layer GELU FFN as
 one op; and the indexing ops take_rows, gather_pairs, concat_rows and
 scatter_add_rows, which route tokens to experts and back. Each
@@ -24,7 +24,7 @@ from . import numerics
 __all__ = [
     "Var",
     "value",
-    "add", "mul", "scale",
+    "add", "mul",
     "matmul", "reshape", "swapaxes",
     "sum_",
     "softmax", "log_softmax", "gelu", "layer_norm", "ffn",
@@ -106,12 +106,6 @@ def mul(a, b):
     ])
 
 
-def scale(a, c):
-    """Multiply by a python float constant."""
-    c = float(c)
-    return _node(value(a) * c, [(a, lambda g: g * c)])
-
-
 def matmul(a, b):
     """Batched matrix product; batch dims of Var operands must match exactly."""
     av, bv = value(a), value(b)
@@ -122,10 +116,6 @@ def matmul(a, b):
         return _unbroadcast(ga, av.shape)
 
     def vjp_b(g):
-        if bv.ndim == 2 and av.ndim > 2:
-            # One GEMM over the flattened batch, not a (B, k, n) stack to sum.
-            k = av.shape[-1]
-            return av.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
         gb = np.matmul(np.swapaxes(av, -1, -2), g)
         return _unbroadcast(gb, bv.shape)
 

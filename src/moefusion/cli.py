@@ -153,7 +153,7 @@ def cmd_decode(args) -> int:
         lam=args.lam, beam_size=args.beam, max_len=args.max_len,
         length_normalize=args.length_normalize,
     )
-    rows = decode_utterances(lattice_dir, lm, config, vocab)
+    (rows,) = decode_utterances(lattice_dir, lm, [config], vocab)
     write_decodes(rows, args.output)
     print(f"decoded {len(rows)} utterances to {args.output}")
     return 0

@@ -40,7 +40,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import NumericError, VocabMismatchError, read_text
-from .model import LmState, initial_state, lm_score_rows, lm_score_step
+from .model import LmState, initial_state, kv_position_bytes, lm_score_rows, lm_score_step
 from .numerics import logsumexp
 from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 
@@ -191,29 +191,19 @@ def _content_limit(source, config: FusionConfig) -> int:
     return steps if config.max_len is None else min(steps, config.max_len)
 
 
-def beam_search_fusion(
-    source: PosteriorSource | Sequence[PosteriorSource],
-    lm,
-    configs: FusionConfig | Sequence[FusionConfig],
-):
-    """Beam search under the fused score; returns every finished hypothesis,
-    best first (a caller wanting n takes [:n]).
+def beam_search_fusion(jobs: Sequence[tuple[PosteriorSource, FusionConfig]], lm):
+    """Beam search under the fused score for each (source, config) job;
+    returns one list per job of its finished hypotheses, best first (a
+    caller wanting n takes [:n]).
 
     lm may be None (pure e2e), a Checkpoint, or any scorer with the two
-    block calls of CheckpointLmScorer. The search runs jobs in lockstep,
-    each a (source, config) pair, each selecting exactly as it would alone.
-    configs is one FusionConfig (returns its list) or a sequence (returns one
-    list per config); source is one source, shared by every config, or a
-    sequence of them with one vocab, source[i] going with configs[i]. The LM
-    starts once and scores each step's distinct children of every job in
+    block calls of CheckpointLmScorer. The jobs' sources share one vocab;
+    the jobs run in lockstep, each selecting exactly as it would alone. The
+    LM starts once and scores each step's distinct children of every job in
     one advance_rows call: O(beam * length) rows per job, fewer where jobs
     share prefixes.
     """
-    single = isinstance(configs, FusionConfig)
-    configs = [configs] if single else list(configs)
-    sources = list(source) if isinstance(source, (list, tuple)) else [source] * len(configs)
-    if len(sources) != len(configs):
-        raise ValueError(f"{len(sources)} sources for {len(configs)} configs")
+    sources, configs = [s for s, _ in jobs], [c for _, c in jobs]
     lm_scorer = _wrap_lm(lm)
     for s in sources:
         _check_vocab(s, lm_scorer)
@@ -249,13 +239,12 @@ def beam_search_fusion(
         for i, (prefixes, scores, _), rows in zip(live, kids, split):
             beams[i] = (prefixes, scores, rows)
 
-    results = [
+    return [
         sorted(pool, key=lambda h, norm=c.length_normalize: (
             -(h.combined / len(h.tokens) if norm else h.combined), h.tokens,
         ))
         for pool, c in zip(pools, configs)
     ]
-    return results[0] if single else results
 
 
 def _beam_step(source, config, beam, table, t, last, pool):
@@ -325,7 +314,7 @@ def exhaustive_oracle(
             f"oracle space {v}^{eff_max} ~ {space:.2e} sequences exceeds 1e6"
         )
     width, c = (v - 1) ** eff_max, getattr(lm_scorer, "config", None)
-    kv = 0 if c is None else 16 * c.num_layers * c.num_heads * c.head_dim * (eff_max + 1)
+    kv = 0 if c is None else kv_position_bytes(c) * (eff_max + 1)
     if lm_scorer is not None and width * (8 * v + kv) > ORACLE_LM_BYTES:
         raise ValueError(f"the oracle's widest level of {width} LM rows needs "
                          f"{width * (8 * v + kv)} bytes, over the {ORACLE_LM_BYTES}-byte budget")
@@ -467,8 +456,7 @@ def _search_bytes(source: LatticeSource, configs: Sequence[FusionConfig], lm_con
     tracemalloc peaks at the benchmark's shapes), and the lattice's frames
     are held until the search ends.
     """
-    kv = 0 if lm_config is None else \
-        16 * lm_config.num_layers * lm_config.num_heads * lm_config.head_dim
+    kv = 0 if lm_config is None else kv_position_bytes(lm_config)
     widest = max(c.beam_size for c in configs)
     rows = sum(c.beam_size for c in configs)
     return (2 * kv * widest * source.max_steps + 16 * rows * source.vocab_size
@@ -492,23 +480,20 @@ def _batches(costs: Sequence[int], budget: int) -> list[list[int]]:
 def decode_utterances(
     lattice_dir: str | Path,
     lm,
-    configs: FusionConfig | Sequence[FusionConfig],
+    configs: Sequence[FusionConfig],
     vocab: Vocab,
     check_ids: Callable[[list[str]], None] | None = None,
 ):
     """Beam-decode every *.lat file in a directory, sorted by utterance id.
 
-    configs is one FusionConfig (returns its rows) or a sequence (returns
-    one row list per config). Every lattice is loaded, once per run, and
-    checked against every config, then check_ids (if given) is called with
+    Returns one row list per config. Every lattice is loaded, once per run,
+    and checked against every config, then check_ids (if given) is called with
     the utterance ids, before the first is decoded, so a bad file or id
     fails the run before any search work. The utterances are then decoded
     in batches of consecutive ids, one lockstep search per batch with a job
     per utterance and config; a batch's estimated peak bytes (_search_bytes)
     stay within DECODE_BATCH_BYTES, and an utterance over it runs alone.
     """
-    single = isinstance(configs, FusionConfig)
-    configs = [configs] if single else list(configs)
     lattice_dir = Path(lattice_dir)
     paths = sorted(lattice_dir.glob("*.lat"))
     if not paths:
@@ -520,8 +505,7 @@ def decode_utterances(
     costs = [_search_bytes(s, configs, lm_config) for s in sources]
     rows: list[list[DecodeRow]] = [[] for _ in configs]
     for batch in _batches(costs, DECODE_BATCH_BYTES):
-        jobs = [sources[u] for u in batch for _ in configs]
-        found = beam_search_fusion(jobs, lm, configs * len(batch))
+        found = beam_search_fusion([(sources[u], c) for u in batch for c in configs], lm)
         for k, u in enumerate(batch):
             sources[u] = None  # the batch is done with its lattice
             for out, hyps in zip(rows, found[k * len(configs):(k + 1) * len(configs)]):
@@ -533,7 +517,7 @@ def decode_utterances(
                     lm_logprob=best.lm_logprob,
                     combined=best.combined,
                 ))
-    return rows[0] if single else rows
+    return rows
 
 
 def write_decodes(rows: Sequence[DecodeRow], path: str | Path) -> None:
@@ -559,9 +543,8 @@ def read_decodes(path: str | Path) -> list[DecodeRow]:
         if cols[0] in seen:
             raise ValueError(f"{path}:{ln}: duplicate utterance id {cols[0]!r}")
         seen.add(cols[0])
-        rows.append(DecodeRow(
-            utt_id=cols[0], text=cols[1],
-            e2e_logprob=float(cols[2]), lm_logprob=float(cols[3]),
-            combined=float(cols[4]),
-        ))
+        try:
+            rows.append(DecodeRow(cols[0], cols[1], *map(float, cols[2:])))
+        except ValueError as exc:  # a score that is not a number
+            raise ValueError(f"{path}:{ln}: {exc}") from None
     return rows

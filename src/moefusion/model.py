@@ -42,7 +42,7 @@ __all__ = [
     "param_shapes", "init_params", "positional_table",
     "gate_topk",
     "build_forward", "lm_forward",
-    "initial_state", "lm_score_rows", "lm_score_step",
+    "initial_state", "kv_position_bytes", "lm_score_rows", "lm_score_step",
 ]
 
 ATTN_MASK_VALUE = -1e9
@@ -141,6 +141,11 @@ class LmState:
     @property
     def position(self) -> int:
         return self.keys[0].shape[2]
+
+
+def kv_position_bytes(config: MoeLmConfig) -> int:
+    """Bytes of one LmState row's float64 keys and values at one position."""
+    return 2 * 8 * config.num_layers * config.num_heads * config.head_dim
 
 
 @dataclass
@@ -274,7 +279,7 @@ def _attention_bias(segment_ids: np.ndarray) -> np.ndarray:
 def _attention(q, k, v, bias):
     """softmax(q k^T / sqrt(dh) + bias) v over (B, H, Tq, dh) queries and
     (B, H, Tk, dh) keys and values; Vars or arrays."""
-    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(q.shape[-1]))
+    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(q.shape[-1]))
     return ad.matmul(ad.softmax(ad.add(scores, bias), axis=-1), v)
 
 
@@ -399,9 +404,9 @@ def build_forward(
         for gate, count in zip(gates, counts):
             probs = ad.softmax(gate.all_gate_logits, axis=-1)
             masked = ad.mul(probs, live[:, None].astype(np.float64))
-            importance = ad.scale(ad.sum_(masked, axis=0), 1.0 / denom)
-            terms.append(ad.scale(ad.sum_(ad.mul(importance, count / denom)), e / k))
-        aux_loss = ad.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+            importance = ad.mul(ad.sum_(masked, axis=0), 1.0 / denom)
+            terms.append(ad.mul(ad.sum_(ad.mul(importance, count / denom)), e / k))
+        aux_loss = ad.mul(sum(terms[1:], terms[0]), 1.0 / len(terms))
     return ForwardResult(log_probs=log_probs, aux_loss=aux_loss, expert_counts=counts)
 
 

@@ -80,7 +80,7 @@ def batch_loss(
         raise ValueError("batch has no live loss positions")
     rows = ad.reshape(result.log_probs, (targets.size, config.vocab_size))
     picked = ad.gather_pairs(rows, np.arange(targets.size), targets.ravel())
-    ce = ad.scale(ad.sum_(ad.mul(picked, mask.ravel())), -1.0 / denom)
+    ce = ad.mul(ad.sum_(ad.mul(picked, mask.ravel())), -1.0 / denom)
     extras = {
         "ce": float(ce.value),
         "aux": 0.0,
@@ -90,7 +90,7 @@ def batch_loss(
     loss = ce
     if result.aux_loss is not None and config.aux_loss_weight > 0:
         extras["aux"] = float(result.aux_loss.value)
-        loss = ad.add(ce, ad.scale(result.aux_loss, config.aux_loss_weight))
+        loss = ad.add(ce, ad.mul(result.aux_loss, config.aux_loss_weight))
     return loss, extras
 
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable, Mapping
+
 import numpy as np
 
 from moefusion import autodiff as ad
 from moefusion.checkpoint import Checkpoint
-from moefusion.errors import ConfigError
-from moefusion.fusion import _floor
-from moefusion.model import LmState, _ffn, gate_topk, initial_state, lm_score_step
-from moefusion.numerics import grad_check, log_softmax
+from moefusion.errors import ConfigError, NumericError
+from moefusion.fusion import _floor, beam_search_fusion
+from moefusion.model import LmState, _ffn, gate_topk, initial_state, lm_score_rows
+from moefusion.numerics import check_finite, log_softmax
 from moefusion.tokenizer import BOS_ID
 
 
@@ -20,6 +23,95 @@ def record_var_inits(monkeypatch) -> list:
     monkeypatch.setattr(ad.Var, "__init__",
                         lambda self, *a, **k: made.append(1) or init(self, *a, **k))
     return made
+
+
+@dataclass
+class GradCheckReport:
+    """Outcome of a finite-difference gradient check.
+
+    worst_parameter identifies the element with the largest relative error as
+    (tensor name, flat index).
+    """
+
+    max_relative_error: float
+    worst_parameter: tuple[str, int]
+    num_checked: int
+
+
+def grad_check(
+    loss_fn: Callable[[Mapping[str, np.ndarray]], tuple[float, Mapping[str, np.ndarray]]],
+    params: Mapping[str, np.ndarray],
+    epsilon: float = 1e-5,
+    max_checked: int = 10_000,
+    seed: int = 0,
+) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences.
+
+    loss_fn maps a parameter dict to (scalar loss, gradient dict of the same
+    structure). Relative error per element is
+    |g_a - g_fd| / max(|g_a|, |g_fd|, 1e-8). When the total parameter count
+    exceeds max_checked, a seeded uniform subset of elements is checked.
+
+    Parameters are perturbed in place and restored exactly, so loss_fn must
+    not retain references that outlive the call.
+    """
+    if not (1e-7 <= epsilon <= 1e-3):
+        raise ValueError(f"epsilon must be in [1e-7, 1e-3], got {epsilon}")
+    if not params:
+        raise ValueError("grad_check needs at least one parameter tensor")
+    names = list(params.keys())
+    arrays = {n: np.asarray(params[n], dtype=np.float64) for n in names}
+
+    loss0, grads = loss_fn(arrays)
+    if not np.isfinite(loss0):
+        raise NumericError(f"loss is non-finite at the evaluation point: {loss0}")
+    for n in names:
+        if n not in grads:
+            raise ValueError(f"loss_fn returned no gradient for parameter {n!r}")
+        check_finite(grads[n], f"analytic gradient for {n!r}")
+
+    # Flat global index space over all tensors, in dict order.
+    sizes = [arrays[n].size for n in names]
+    total = int(sum(sizes))
+    if total > max_checked:
+        rng = np.random.default_rng([seed, 0x6FD])
+        chosen = np.sort(rng.choice(total, size=max_checked, replace=False))
+    else:
+        chosen = np.arange(total)
+
+    offsets = np.cumsum([0] + sizes)
+    worst = ("", -1)
+    worst_err = 0.0
+    for g in chosen.tolist():
+        ti = int(np.searchsorted(offsets, g, side="right") - 1)
+        name = names[ti]
+        flat_idx = g - int(offsets[ti])
+        arr = arrays[name]
+        flat = arr.reshape(-1)
+        saved = flat[flat_idx]
+
+        flat[flat_idx] = saved + epsilon
+        lp, _ = loss_fn(arrays)
+        flat[flat_idx] = saved - epsilon
+        lm, _ = loss_fn(arrays)
+        flat[flat_idx] = saved
+
+        if not (np.isfinite(lp) and np.isfinite(lm)):
+            raise NumericError(
+                f"loss became non-finite while perturbing {name!r}[{flat_idx}]"
+            )
+        fd = (lp - lm) / (2.0 * epsilon)
+        ga = float(np.asarray(grads[name]).reshape(-1)[flat_idx])
+        rel = abs(ga - fd) / max(abs(ga), abs(fd), 1e-8)
+        if rel > worst_err:
+            worst_err = rel
+            worst = (name, flat_idx)
+
+    return GradCheckReport(
+        max_relative_error=float(worst_err),
+        worst_parameter=worst,
+        num_checked=len(chosen),
+    )
 
 
 def fd_check(build, params, tol=1e-6, eps=1e-5):
@@ -74,41 +166,57 @@ class TableLm:
 class ModelSource:
     """Posterior backed by an autoregressive checkpoint, queried stepwise.
 
-    Rows are memoized per prefix, so repeated queries are pure: the same
-    prefix always yields the identical row. The memo is never pruned, so it
-    suits small searches only.
+    A rows() call scores the prefixes it has not seen before in one
+    lm_score_rows block. Rows are memoized per prefix, so repeated queries
+    are pure: the same prefix always yields the identical row. The memo is
+    never pruned, so it suits small searches only.
     """
 
     def __init__(self, ckpt: Checkpoint):
         self._params, self._config = ckpt.tensors, ckpt.config
         self.vocab_size = ckpt.config.vocab_size
         self.max_steps = ckpt.config.max_seq_len - 1
-        self._memo: dict[tuple[int, ...], tuple[LmState, np.ndarray]] = {
-            (): lm_score_step(self._params, self._config, initial_state(self._config), BOS_ID)
-        }
+        # prefix -> (the KV block holding its row, the row's index there, the row)
+        self._memo: dict[tuple[int, ...], tuple[LmState, int, np.ndarray]] = {}
+        self._score([()], initial_state(self._config), [0], [BOS_ID])
 
-    def _ensure(self, prefix: tuple[int, ...]) -> tuple[LmState, np.ndarray]:
-        hit = self._memo.get(prefix)
-        if hit is not None:
-            return hit
-        state, _ = self._ensure(prefix[:-1])
-        entry = lm_score_step(self._params, self._config, state, prefix[-1])
-        self._memo[prefix] = entry
-        return entry
+    def _score(self, prefixes, block, parents, tokens):
+        state, rows = lm_score_rows(self._params, self._config, block, parents, tokens)
+        for r, prefix in enumerate(prefixes):
+            self._memo[prefix] = (state, r, rows[r])
+
+    def _ensure(self, prefixes: list[tuple[int, ...]]) -> None:
+        """Memoize prefixes of one length, scoring the new ones as one block
+        over their parents' KV rows."""
+        new = [p for p in dict.fromkeys(prefixes) if p not in self._memo]
+        if not new:
+            return
+        self._ensure([p[:-1] for p in new])
+        held = [self._memo[p[:-1]] for p in new]
+        layers = range(self._config.num_layers)
+        block = LmState(
+            keys=[np.concatenate([s.keys[i][r:r + 1] for s, r, _ in held]) for i in layers],
+            values=[np.concatenate([s.values[i][r:r + 1] for s, r, _ in held]) for i in layers])
+        self._score(new, block, np.arange(len(new)), [p[-1] for p in new])
 
     def rows(self, prefixes, t: int) -> np.ndarray:
         """The prefixes' rows at step t, stacked and floored as one block."""
-        out = []
+        prefixes = [tuple(int(x) for x in prefix) for prefix in prefixes]
         for prefix in prefixes:
-            prefix = tuple(int(x) for x in prefix)
             if t != len(prefix):
                 raise ValueError(
                     f"model source row {t} requested for a {len(prefix)}-token prefix"
                 )
             if t >= self.max_steps:
                 raise ValueError(f"model context exhausted at step {t}")
-            out.append(self._ensure(prefix)[1])
-        return _floor(np.stack(out))
+        self._ensure(prefixes)
+        return _floor(np.stack([self._memo[p][2] for p in prefixes]))
+
+
+def search(source, lm, config):
+    """One job's beam search: its finished hypotheses, best first."""
+    (hyps,) = beam_search_fusion([(source, config)], lm)
+    return hyps
 
 
 class CountingLm:

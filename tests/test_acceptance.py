@@ -10,20 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import TableLm, dense_mixture, random_lattice
+from helpers import TableLm, dense_mixture, grad_check, random_lattice, search
 import moefusion.model as model_mod
 from moefusion import autodiff as ad
 from moefusion.accounting import count_params_flops
 from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main as cli_main
 from moefusion.fusion import (
-    FusionConfig, LatticeSource, beam_search_fusion, decode_utterances,
-    exhaustive_oracle,
+    FusionConfig, LatticeSource, decode_utterances, exhaustive_oracle,
 )
 from moefusion.model import (
     FfnParams, MoeLmConfig, _mixture, build_forward, gate_topk, init_params,
 )
-from moefusion.numerics import grad_check
 from moefusion.packing import pack_batches
 from moefusion.tokenizer import encode
 from moefusion.trainer import batch_loss, train
@@ -152,8 +150,8 @@ def test_criterion_05_fusion_search(capsys, synth_pipeline):
     for seed in range(100):
         src = LatticeSource(random_lattice(v, 4, seed + 5000))
         cfg = FusionConfig(lam=0.0, beam_size=8)
-        with_lm = beam_search_fusion(src, ckpt, cfg)
-        without = beam_search_fusion(src, None, cfg)
+        with_lm = search(src, ckpt, cfg)
+        without = search(src, None, cfg)
         if [h.tokens for h in with_lm] == [h.tokens for h in without]:
             identical += 1
     ok = identical == 100
@@ -164,7 +162,7 @@ def test_criterion_05_fusion_search(capsys, synth_pipeline):
     decomposition_gap = 0.0
     for seed in range(50):
         src = LatticeSource(random_lattice(8, 4, seed + 6000))
-        hyps = beam_search_fusion(
+        hyps = search(
             src, lm, FusionConfig(lam=0.3, beam_size=64))
         oracle = exhaustive_oracle(src, lm, 0.3, max_len=3)
         if hyps[0].tokens == oracle.tokens and \
@@ -226,8 +224,8 @@ def test_criterion_07_pipeline_improves_wer(capsys, synth_pipeline):
     refs = read_utt_file(paths.refs)
 
     def decode_wer(lam, lm):
-        rows = decode_utterances(paths.lattice_dir, lm,
-                                 FusionConfig(lam=lam, beam_size=8), vocab)
+        (rows,) = decode_utterances(paths.lattice_dir, lm,
+                                    [FusionConfig(lam=lam, beam_size=8)], vocab)
         pooled = WerBreakdown()
         for r in rows:
             pooled = pooled + wer(refs[r.utt_id][1], r.text)

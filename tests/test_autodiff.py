@@ -26,8 +26,8 @@ def test_mul_by_constant_array():
     fd_check(lambda v: ad.mul(v["a"], c), {"a": rnd(3, 3, seed=8)})
 
 
-def test_scale():
-    fd_check(lambda v: ad.scale(v["a"], 0.25), {"a": rnd(4, seed=9)})
+def test_mul_by_python_float():
+    fd_check(lambda v: ad.mul(v["a"], 0.25), {"a": rnd(4, seed=9)})
 
 
 def test_matmul_2d():
@@ -176,8 +176,8 @@ def test_reused_node_accumulates():
 
 def test_diamond_graph():
     x = ad.Var(np.array([3.0]))
-    a = ad.scale(x, 2.0)
-    b = ad.scale(x, 5.0)
+    a = ad.mul(x, 2.0)
+    b = ad.mul(x, 5.0)
     out = ad.add(a, b)
     ad.backward(ad.sum_(out))
     assert x.grad[0] == 7.0
@@ -203,7 +203,7 @@ def test_ops_on_constants_return_arrays(monkeypatch):
     made = record_var_inits(monkeypatch)
     a, b, m = rnd(3, 4, seed=33), rnd(4, seed=34), rnd(4, 2, seed=35)
     idx = np.array([[0, 2], [1, 3], [3, 0]])
-    outs = [ad.add(a, b), ad.mul(a, b), ad.scale(a, 2.0),
+    outs = [ad.add(a, b), ad.mul(a, b), ad.mul(a, 2.0),
             ad.matmul(a, m), ad.reshape(a, (4, 3)), ad.swapaxes(a, 0, 1),
             ad.sum_(a, axis=1), ad.softmax(a), ad.log_softmax(a), ad.gelu(a),
             ad.layer_norm(a, b, b), ad.ffn(a, m, b[:2], m.T, b), ad.take_rows(a, [2, 0]),
@@ -251,7 +251,7 @@ def test_matmul_vjp_b_flattens_the_batch(a_shape):
     g = rng.standard_normal(a_shape[:-1] + (6,))
     # sum(out * g) hands the product the cotangent g, bit for bit
     ad.backward(ad.sum_(ad.mul(ad.matmul(a, b), g)))
-    # the batched-then-summed product the flattened GEMM replaces
+    # a^T g over the batch, summed: one (4, 6) gradient for the shared b
     ref = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, 4, 6).sum(axis=0)
     assert b.grad.shape == (4, 6)
     np.testing.assert_allclose(b.grad, ref, rtol=1e-12, atol=1e-12)
@@ -275,7 +275,7 @@ def test_backward_frees_intermediate_grads():
     def graph():
         x, w = ad.Var(xv), ad.Var(wv)
         h = ad.gelu(ad.matmul(x, w))
-        h = ad.add(h, ad.scale(h, 0.5))  # h reaches the loss along two paths
+        h = ad.add(h, ad.mul(h, 0.5))  # h reaches the loss along two paths
         return x, w, ad.sum_(ad.mul(h, ad.softmax(h)))
 
     x, w, loss = graph()

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, precedence, end-to-end flows."""
 
 import csv
-import importlib
 import json
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 import moefusion.cli as cli_mod
 import moefusion.fusion as fusion_mod
 import moefusion.model as model_mod
+import moefusion.wer as wer_mod
 from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main
 from moefusion.errors import read_text
@@ -53,7 +53,7 @@ def spy_searches(monkeypatch) -> list:
     searches = []
     real_search = fusion_mod.beam_search_fusion
     monkeypatch.setattr(fusion_mod, "beam_search_fusion",
-                        lambda s, lm, c: searches.append(len(s)) or real_search(s, lm, c))
+                        lambda jobs, lm: searches.append(len(jobs)) or real_search(jobs, lm))
     return searches
 
 
@@ -461,6 +461,16 @@ class TestEvaluateCommand:
             f"error: ValueError: {hyps}:3: duplicate utterance id 'u1'\n"
         assert not (tmp_path / "out").exists()
 
+    def test_score_that_is_not_a_number_named(self, tmp_path, capsys):
+        refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
+        refs.write_text("u1\tloc-a\ta b\nu2\tloc-a\tc d\n")
+        hyps.write_text("u1\ta b\t-1.0\t-2.0\t-3.0\nu2\tc d\t-1.0\tnan_x\t-3.0\n")
+        assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"error: ValueError: {hyps}:2: could not "
+                                           f"convert string to float: 'nan_x'\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("columns", [3, 5])
     def test_hyps_decoded_once(self, columns, tmp_path, monkeypatch):
         refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
@@ -473,8 +483,7 @@ class TestEvaluateCommand:
             reads.append(str(path))
             return read_text(path, *args)
 
-        # the package's `wer` function hides its wer module from attribute lookup
-        for mod in (cli_mod, fusion_mod, importlib.import_module("moefusion.wer")):
+        for mod in (cli_mod, fusion_mod, wer_mod):
             monkeypatch.setattr(mod, "read_text", spy)
         assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
                      "--output-dir", str(tmp_path / "out")]) == 0
@@ -732,7 +741,7 @@ def test_decode_reaches_the_traced_lookup_sites(synth_pipeline, lm_dir, tmp_path
                  "--beam", "4", "--output", str(tmp_path / "d.tsv")]) == 0
     lattices = len(list(paths.lattice_dir.glob("*.lat")))
     assert 1 < len(per_search) < lattices
-    assert len(jobs) == len({id(s) for s in jobs}) == lattices
+    assert len(jobs) == len({id(s) for s, _ in jobs}) == lattices
     assert all(c["lm_score_step"] >= 1 and c["gate_topk"] >= 1 for c in per_search)
     state = states[0]
     assert state.keys and len(state.keys) == len(state.values)

@@ -1,12 +1,17 @@
-"""Every name a module lists in __all__ exists in it, and every name a module
-imports is used in it."""
+"""Every name a module lists in __all__ exists in it, every name a module
+imports is used in it, each submodule attribute of the package is its
+module, and every top-level definition is reachable from the program or
+the benchmark."""
 
 import ast
 import importlib
 import pkgutil
+from collections import deque
 from pathlib import Path
 
 import moefusion
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_all_names_exist():
@@ -68,3 +73,103 @@ def test_no_unused_imports():
                 continue
             unused += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_submodule_attributes_are_modules():
+    shadowed = []
+    for info in pkgutil.iter_modules(moefusion.__path__):
+        module = importlib.import_module(f"moefusion.{info.name}")
+        if getattr(moefusion, info.name) is not module:
+            shadowed.append(info.name)
+    assert not shadowed, f"package attributes that are not their submodule: {shadowed}"
+
+
+class _Package:
+    """The top-level definitions of src/moefusion's modules, the names each
+    one references, and where each module's imported names come from."""
+
+    def __init__(self):
+        self.defs: dict[str, dict[str, ast.AST]] = {}
+        self.imports: dict[str, dict[str, tuple[str, str | None]]] = {}
+        self.import_time: list[tuple[str, ast.AST]] = []  # statements run on import
+        for path in sorted(Path(moefusion.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":  # re-exports only
+                continue
+            mod = path.stem
+            self.defs[mod], self.imports[mod] = {}, {}
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    self.defs[mod][node.name] = node
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for t in targets:
+                        if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                            self.defs[mod][t.id] = node
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for a in node.names:
+                        # `from . import m` binds a module, `from .m import x` a name
+                        self.imports[mod][a.asname or a.name] = \
+                            (node.module, a.name) if node.module else (a.name, None)
+                elif not isinstance(node, (ast.Import, ast.ImportFrom, ast.Expr)):
+                    self.import_time.append((mod, node))
+
+    def resolve(self, mod: str, name: str) -> tuple[str, str] | None:
+        """The definition that name, looked up in module mod, is."""
+        if mod not in self.defs:
+            return None
+        if name in self.defs[mod]:
+            return mod, name
+        source, orig = self.imports[mod].get(name, (None, None))
+        return self.resolve(source, orig) if orig else None
+
+    def references(self, mod: str, node: ast.AST):
+        modules = {k: m for k, (m, orig) in self.imports[mod].items() if orig is None}
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield self.resolve(mod, n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in modules:
+                yield self.resolve(modules[n.value.id], n.attr)
+
+
+def _bench_roots(pkg: _Package):
+    """The definitions a bench file imports from moefusion, reads as an
+    attribute of an imported moefusion module, or names in a string (the
+    wrap map's attribute names) that such a module defines or imports."""
+    for path in (BENCH / "run.py", BENCH / "worker.py", BENCH / "test_checks.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module == "moefusion":
+                modules.update({a.asname or a.name: a.name for a in n.names})
+            elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("moefusion."):
+                mod = n.module.removeprefix("moefusion.")
+                yield from (pkg.resolve(mod, a.name) for a in n.names)
+            elif isinstance(n, ast.Import):
+                modules.update({a.asname: a.name.removeprefix("moefusion.") for a in n.names
+                                if a.name.startswith("moefusion.") and a.asname})
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in modules:
+                yield pkg.resolve(modules[n.value.id], n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                yield from (pkg.resolve(m, n.value) for m in set(modules.values()))
+
+
+def test_every_definition_is_reachable():
+    """Walks name references out from cli.main, the statements a module runs
+    on import and what the benchmark uses; a definition it does not reach
+    serves only tests, and belongs in tests/."""
+    pkg = _Package()
+    todo = deque([("cli", "main"), *_bench_roots(pkg)])
+    todo += (ref for mod, node in pkg.import_time for ref in pkg.references(mod, node))
+    seen = set()
+    while todo:
+        ref = todo.popleft()
+        if ref is None or ref in seen:
+            continue
+        seen.add(ref)
+        todo += pkg.references(ref[0], pkg.defs[ref[0]][ref[1]])
+    unreached = sorted(f"{mod}.{name}" for mod, names in pkg.defs.items()
+                       for name in names if (mod, name) not in seen)
+    assert not unreached, f"defined in src/moefusion but used only by tests: {unreached}"

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import helpers
 import moefusion.fusion as fusion_mod
 from helpers import (
     CountingLm, ModelSource, TableLm, UniformLm, random_lattice,
-    reference_select,
+    reference_select, search,
 )
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
@@ -48,7 +49,7 @@ class TestScoringRule:
         lm = TableLm.random(12, 7, seed=0)
         for seed in range(10):
             src = LatticeSource(random_lattice(12, 4, seed))
-            hyps = beam_search_fusion(
+            hyps = search(
                 src, lm, FusionConfig(lam=0.37, beam_size=6))
             for h in hyps:
                 assert h.tokens[-1] == EOS_ID
@@ -106,17 +107,17 @@ class TestBeamBasics:
     def test_one_hot_lattice_recovered(self):
         tokens = (7, 4, 9)
         src = LatticeSource(one_hot_lattice(tokens, 12))
-        best = beam_search_fusion(src, None,
-                                  FusionConfig(lam=0.0, beam_size=4))[0]
+        best = search(src, None,
+                      FusionConfig(lam=0.0, beam_size=4))[0]
         assert best.tokens == tokens + (EOS_ID,)
 
     def test_lambda_zero_matches_no_lm(self):
         lm = TableLm.random(10, 5, seed=5)
         for seed in range(20):
             src = LatticeSource(random_lattice(10, 4, seed + 100))
-            with_lm = beam_search_fusion(
+            with_lm = search(
                 src, lm, FusionConfig(lam=0.0, beam_size=8))
-            without = beam_search_fusion(
+            without = search(
                 src, None, FusionConfig(lam=0.0, beam_size=8))
             assert [h.tokens for h in with_lm] == [h.tokens for h in without]
             for a, b in zip(with_lm, without):
@@ -124,7 +125,7 @@ class TestBeamBasics:
 
     def test_n_best_sorted_descending(self):
         src = LatticeSource(random_lattice(10, 4, seed=6))
-        hyps = beam_search_fusion(
+        hyps = search(
             src, TableLm.random(10, 4, seed=6),
             FusionConfig(lam=0.4, beam_size=8))
         assert len(hyps) > 1
@@ -142,8 +143,8 @@ class TestBeamBasics:
 
         monkeypatch.setattr(fusion_mod, "Hypothesis", Counted)
         src = LatticeSource(random_lattice(10, 5, seed=10))
-        hyps = beam_search_fusion(src, TableLm.random(10, 5, seed=10),
-                                  FusionConfig(lam=0.4, beam_size=4))
+        hyps = search(src, TableLm.random(10, 5, seed=10),
+                      FusionConfig(lam=0.4, beam_size=4))
         assert len(hyps) == len(built) > 1
         assert sorted(map(id, hyps)) == sorted(map(id, built))
         scores = [h.combined for h in hyps]
@@ -154,8 +155,8 @@ class TestBeamBasics:
         src = LatticeSource(random_lattice(10, 5, seed=7))
         lm = TableLm.random(10, 6, seed=7)
         cfg = FusionConfig(lam=0.25, beam_size=6)
-        a = beam_search_fusion(src, lm, cfg)
-        b = beam_search_fusion(src, lm, cfg)
+        a = search(src, lm, cfg)
+        b = search(src, lm, cfg)
         assert [(h.tokens, h.combined) for h in a] == \
             [(h.tokens, h.combined) for h in b]
 
@@ -168,20 +169,20 @@ class TestBeamBasics:
         rows[0] -= np.log(np.exp(rows[0]).sum())
         rows[1] -= np.log(np.exp(rows[1]).sum())
         src = LatticeSource(rows)
-        best = beam_search_fusion(src, None,
-                                  FusionConfig(lam=0.0, beam_size=4))[0]
+        best = search(src, None,
+                      FusionConfig(lam=0.0, beam_size=4))[0]
         assert best.tokens == (4, EOS_ID)
 
     def test_forced_eos_at_zero_budget(self):
         src = LatticeSource(random_lattice(10, 4, seed=8))
-        best = beam_search_fusion(
+        best = search(
             src, None, FusionConfig(lam=0.0, beam_size=4, max_len=0))[0]
         assert best.tokens == (EOS_ID,)
 
     def test_max_len_bounds_content_tokens(self):
         src = LatticeSource(random_lattice(10, 6, seed=9))
         for cap in (1, 2, 3):
-            hyps = beam_search_fusion(
+            hyps = search(
                 src, None, FusionConfig(lam=0.0, beam_size=8, max_len=cap))
             assert all(len(h.tokens) - 1 <= cap for h in hyps)
 
@@ -195,9 +196,9 @@ class TestBeamBasics:
         probs[3, EOS_ID] = 0.99
         probs /= probs.sum(axis=1, keepdims=True)
         src = LatticeSource(np.log(probs))
-        plain = beam_search_fusion(
+        plain = search(
             src, None, FusionConfig(lam=0.0, beam_size=8))[0]
-        normed = beam_search_fusion(
+        normed = search(
             src, None, FusionConfig(lam=0.0, beam_size=8,
                                     length_normalize=True))[0]
         assert plain.tokens == (EOS_ID,)
@@ -208,7 +209,7 @@ class TestBeamBasics:
         lm = UniformLm(10)
         for seed in range(10):
             src = LatticeSource(random_lattice(10, 3, seed + 300))
-            with_lm = beam_search_fusion(
+            with_lm = search(
                 src, lm, FusionConfig(lam=0.2, beam_size=16))[0]
             oracle = exhaustive_oracle(src, lm, 0.2, max_len=2)
             assert with_lm.tokens == oracle.tokens
@@ -219,7 +220,7 @@ class TestOracleAgreement:
         lm = TableLm.random(8, 6, seed=10)
         for seed in range(25):
             src = LatticeSource(random_lattice(8, 4, seed + 500))
-            beam = beam_search_fusion(
+            beam = search(
                 src, lm, FusionConfig(lam=0.3, beam_size=64))[0]
             oracle = exhaustive_oracle(src, lm, 0.3, max_len=3)
             assert beam.tokens == oracle.tokens, seed
@@ -229,7 +230,7 @@ class TestOracleAgreement:
         lm = TableLm.random(8, 5, seed=11)
         for seed in range(25):
             src = LatticeSource(random_lattice(8, 4, seed + 700))
-            beam = beam_search_fusion(
+            beam = search(
                 src, lm, FusionConfig(lam=0.5, beam_size=2))[0]
             oracle = exhaustive_oracle(src, lm, 0.5, max_len=3)
             assert beam.combined <= oracle.combined + 1e-12
@@ -284,7 +285,7 @@ class NanLm:
 
 
 NAN_CONFIGS = [
-    FusionConfig(lam=0.3, beam_size=4),
+    [FusionConfig(lam=0.3, beam_size=4)],
     [FusionConfig(lam=0.0, beam_size=4), FusionConfig(lam=0.5, beam_size=2, max_len=3)],
 ]
 
@@ -296,15 +297,15 @@ class TestNanGuards:
     def test_source_nan_at_step_two(self, configs):
         src = NanSource(random_lattice(10, 6, seed=60), at=2)
         with pytest.raises(NumericError):
-            beam_search_fusion(src, TableLm.random(10, 5, seed=60), configs)
+            beam_search_fusion([(src, c) for c in configs], TableLm.random(10, 5, seed=60))
         with pytest.raises(NumericError):
-            beam_search_fusion(src, None, configs)
+            beam_search_fusion([(src, c) for c in configs], None)
 
     @pytest.mark.parametrize("configs", NAN_CONFIGS)
     def test_scorer_nan_on_second_advance(self, configs):
         src = LatticeSource(random_lattice(10, 6, seed=61))
         with pytest.raises(NumericError):
-            beam_search_fusion(src, NanLm(TableLm.random(10, 5, seed=61)), configs)
+            beam_search_fusion([(src, c) for c in configs], NanLm(TableLm.random(10, 5, seed=61)))
 
     def test_oracle_raises(self):
         lm = TableLm.random(8, 5, seed=62)
@@ -338,6 +339,28 @@ class TestModelSource:
         b = src.rows([(4, 5)], 2)[0]
         assert np.array_equal(a, b)
 
+    def test_rows_are_one_row_steps_scored_one_block_per_call(self, trained, monkeypatch):
+        blocks = []
+        real = helpers.lm_score_rows
+        monkeypatch.setattr(helpers, "lm_score_rows",
+                            lambda *a: blocks.append(len(a[4])) or real(*a))
+        src = ModelSource(trained)
+        scorer = CheckpointLmScorer(trained)
+        # A call's new prefixes, deduplicated, make one block, whose parents
+        # may sit in the blocks of several earlier calls; an unseen parent is
+        # scored first, in a block of its own; memo hits score nothing.
+        for prefixes, want in [([(4,), (5,), (6,)], [3]),
+                               ([(4, 7), (6, 4), (4, 5), (4, 7)], [3]),
+                               ([(5, 5), (4, 5)], [1]),
+                               ([(4, 7, 6), (5, 5, 4), (6, 4, 4)], [3]),
+                               ([(7, 7)], [1, 1]),
+                               ([(6, 4), (7, 7)], [])]:
+            blocks.clear()
+            rows = src.rows(prefixes, len(prefixes[0]))
+            assert blocks == want
+            for prefix, row in zip(prefixes, rows):
+                assert np.array_equal(row, _floor(score_alone(scorer, prefix)))
+
     def test_wrong_time_index_rejected(self, trained):
         src = ModelSource(trained)
         with pytest.raises(ValueError, match="prefix"):
@@ -352,7 +375,7 @@ class TestModelSource:
     def test_beam_matches_oracle_on_model_source(self, trained):
         for lam in (0.0, 0.4):
             src = ModelSource(trained)
-            beam = beam_search_fusion(
+            beam = search(
                 src, TableLm.random(8, 4, seed=14),
                 FusionConfig(lam=lam, beam_size=64, max_len=3))[0]
             src2 = ModelSource(trained)
@@ -374,8 +397,8 @@ class TestModelSource:
     def test_vocab_mismatch_detected(self, trained):
         src = LatticeSource(random_lattice(12, 3, seed=15))
         with pytest.raises(VocabMismatchError):
-            beam_search_fusion(src, trained,
-                               FusionConfig(lam=0.1, beam_size=4))
+            search(src, trained,
+                   FusionConfig(lam=0.1, beam_size=4))
 
 
 def score_alone(scorer, prefix):
@@ -462,7 +485,7 @@ class TestScorerProtocol:
             exhaustive_oracle(src, lm, 0.3, max_len=2)
         assert lm.starts == 0 and lm.blocks == 0
         # the beam is not capped: 64 rows of 4 positions decode as before
-        beam_search_fusion(src, trained, FusionConfig(lam=0.3, beam_size=64))
+        search(src, trained, FusionConfig(lam=0.3, beam_size=64))
 
     def test_default_config_oracle_is_refused(self):
         # V = 16,384: the first level would hold 2.1 GB of LM rows and a
@@ -490,12 +513,6 @@ def sweep_configs(rng, lam_pool=(0.0, 0.15, 0.3, 0.3, 0.8, 2.0)):
 class TestLockstepSearch:
     """Several configs in one search equal one search per config, exactly."""
 
-    def test_single_config_returns_one_list(self):
-        src = LatticeSource(random_lattice(10, 4, seed=40))
-        lm = TableLm.random(10, 6, seed=40)
-        cfg = FusionConfig(lam=0.3, beam_size=4)
-        assert beam_search_fusion(src, lm, [cfg]) == [beam_search_fusion(src, lm, cfg)]
-
     def test_matches_per_config_search_on_random_lattices(self):
         rng = np.random.default_rng(41)
         seen_lams = []
@@ -505,8 +522,8 @@ class TestLockstepSearch:
             lm = TableLm.random(v, int(rng.integers(3, 12)), seed=seed)
             configs = sweep_configs(rng)
             seen_lams += [c.lam for c in configs]
-            together = beam_search_fusion(src, lm, configs)
-            assert together == [beam_search_fusion(src, lm, c) for c in configs], seed
+            together = beam_search_fusion([(src, c) for c in configs], lm)
+            assert together == [search(src, lm, c) for c in configs], seed
             assert all(len(h) >= 1 for h in together)
         assert 0.0 in seen_lams and len(seen_lams) > len(set(seen_lams))
 
@@ -515,8 +532,8 @@ class TestLockstepSearch:
         for seed in range(10):
             src = LatticeSource(random_lattice(9, 5, seed + 950))
             configs = sweep_configs(rng)
-            assert beam_search_fusion(src, None, configs) == \
-                [beam_search_fusion(src, None, c) for c in configs]
+            assert beam_search_fusion([(src, c) for c in configs], None) == \
+                [search(src, None, c) for c in configs]
 
     def test_matches_per_config_search_with_checkpoint(self, trained):
         # Exact equality needs a row's LM value not to depend on the rows
@@ -529,16 +546,16 @@ class TestLockstepSearch:
         for seed in range(4):
             src = LatticeSource(random_lattice(8, 11, seed + 970))
             configs = sweep_configs(rng)
-            assert beam_search_fusion(src, trained, configs) == \
-                [beam_search_fusion(src, trained, c) for c in configs]
+            assert beam_search_fusion([(src, c) for c in configs], trained) == \
+                [search(src, trained, c) for c in configs]
 
     def test_matches_per_config_search_on_model_source(self, trained):
         rng = np.random.default_rng(44)
         lm = TableLm.random(8, 5, seed=44)
         configs = sweep_configs(rng)
-        together = beam_search_fusion(ModelSource(trained), lm, configs)
-        assert together == [beam_search_fusion(ModelSource(trained), lm, c)
-                            for c in configs]
+        model = ModelSource(trained)
+        together = beam_search_fusion([(model, c) for c in configs], lm)
+        assert together == [search(ModelSource(trained), lm, c) for c in configs]
 
     def test_lm_advances_once_per_distinct_prefix(self):
         rng = np.random.default_rng(45)
@@ -547,10 +564,10 @@ class TestLockstepSearch:
             table = TableLm.random(10, 7, seed=seed)
             configs = sweep_configs(rng)
             shared = CountingLm(table)
-            beam_search_fusion(src, shared, configs)
+            beam_search_fusion([(src, c) for c in configs], shared)
             alone = [CountingLm(table) for _ in configs]
             for lm, c in zip(alone, configs):
-                beam_search_fusion(src, lm, c)
+                search(src, lm, c)
                 # a single beam never holds the same prefix twice
                 assert len(set(lm.advanced)) == len(lm.advanced)
             assert shared.starts == 1
@@ -563,8 +580,8 @@ class TestLockstepSearch:
         src = LatticeSource(random_lattice(10, 6, seed=46))
         cfg = FusionConfig(lam=0.3, beam_size=8)
         once, thrice = CountingLm(TableLm.random(10, 7, 46)), CountingLm(TableLm.random(10, 7, 46))
-        beam_search_fusion(src, once, cfg)
-        beam_search_fusion(src, thrice, [cfg, cfg, cfg])
+        search(src, once, cfg)
+        beam_search_fusion([(src, cfg)] * 3, thrice)
         assert thrice.advanced == once.advanced and thrice.starts == 1
 
     def test_decode_utterances_takes_a_list(self, tmp_path, synth_pipeline):
@@ -574,7 +591,7 @@ class TestLockstepSearch:
         lm = TableLm.random(vocab.size, 9, seed=47)
         configs = [FusionConfig(lam=lam, beam_size=4) for lam in (0.0, 0.5, 2.0)]
         together = decode_utterances(tmp_path, lm, configs, vocab)
-        assert together == [decode_utterances(tmp_path, lm, c, vocab) for c in configs]
+        assert together == [decode_utterances(tmp_path, lm, [c], vocab)[0] for c in configs]
 
 
 def utterance_jobs(rng, v, seed, max_rows=12):
@@ -595,8 +612,8 @@ class TestLockstepUtterances:
 
     @staticmethod
     def assert_lone_searches_match(sources, lm, configs):
-        together = beam_search_fusion(sources, lm, configs)
-        assert together == [beam_search_fusion(s, lm, c) for s, c in zip(sources, configs)]
+        together = beam_search_fusion(list(zip(sources, configs)), lm)
+        assert together == [search(s, lm, c) for s, c in zip(sources, configs)]
 
     def test_table_lm(self):
         rng = np.random.default_rng(1300)
@@ -632,10 +649,8 @@ class TestLockstepUtterances:
     def test_jobs_must_pair_and_share_a_vocab(self):
         cfg = FusionConfig(lam=0.3)
         a, b = LatticeSource(random_lattice(8, 4, seed=1)), LatticeSource(random_lattice(9, 4, 2))
-        with pytest.raises(ValueError, match="2 sources for 1 configs"):
-            beam_search_fusion([a, a], None, [cfg])
         with pytest.raises(VocabMismatchError):
-            beam_search_fusion([a, b], None, [cfg, cfg])
+            beam_search_fusion([(a, cfg), (b, cfg)], None)
 
 
 class TestDecodeBatches:
@@ -657,14 +672,14 @@ class TestDecodeBatches:
         searches = []
         real = fusion_mod.beam_search_fusion
         monkeypatch.setattr(fusion_mod, "beam_search_fusion",
-                            lambda s, lm, c: searches.append(s) or real(s, lm, c))
-        alone = decode_utterances(tmp_path, ckpt, cfg, vocab)
+                            lambda jobs, lm: searches.append(jobs) or real(jobs, lm))
+        alone = decode_utterances(tmp_path, ckpt, [cfg], vocab)
         for budget, want in ((cost["c"] - 1, [["a", "b"], ["c"], ["d", "e", "f"]]),
                              (cost["a"] + cost["b"], [["a", "b"], ["c"], ["d"], ["e"], ["f"]])):
             monkeypatch.setattr(fusion_mod, "DECODE_BATCH_BYTES", budget)
             searches.clear()
-            assert decode_utterances(tmp_path, ckpt, cfg, vocab) == alone
-            batches = [[name_of[s.max_steps] for s in jobs] for jobs in searches]
+            assert decode_utterances(tmp_path, ckpt, [cfg], vocab) == alone
+            batches = [[name_of[s.max_steps] for s, _ in jobs] for jobs in searches]
             assert batches == want
             assert all(sum(cost[n] for n in b) <= budget for b in batches if len(b) > 1)
 
@@ -676,13 +691,14 @@ def test_batched_decode_makes_one_lm_call_per_step_per_batch(synth_pipeline, mon
     searches, calls = [], []
     real_search = fusion_mod.beam_search_fusion
     monkeypatch.setattr(fusion_mod, "beam_search_fusion",
-                        lambda s, lm, c: searches.append(s) or real_search(s, lm, c))
+                        lambda jobs, lm: searches.append([s for s, _ in jobs])
+                        or real_search(jobs, lm))
     real_advance = CheckpointLmScorer.advance_rows
     monkeypatch.setattr(CheckpointLmScorer, "advance_rows",
                         lambda self, *a: calls.append(1) or real_advance(self, *a))
     paths = synth_pipeline["paths"]
     decode_utterances(paths.lattice_dir, synth_pipeline["checkpoint"],
-                      FusionConfig(lam=0.3, beam_size=4), synth_pipeline["vocab"])
+                      [FusionConfig(lam=0.3, beam_size=4)], synth_pipeline["vocab"])
     longest = [max(s.max_steps for s in jobs) - 1 for jobs in searches]
     per_utterance = [s.max_steps - 1 for jobs in searches for s in jobs]
     assert len(per_utterance) == len(list(paths.lattice_dir.glob("*.lat"))) == 60
@@ -753,7 +769,8 @@ class TestSelect:
                     lat = np.log(np.round(np.exp(lat) * 4) + 1)
                     lat -= np.log(np.exp(lat).sum(axis=1, keepdims=True))
                 src, lm = LatticeSource(lat), TableLm.random(v, 5, seed=i)
-            runs.append((src, lm, sweep_configs(rng, lam_pool=(0.0, 0.5, 1.0))))
+            configs = sweep_configs(rng, lam_pool=(0.0, 0.5, 1.0))
+            runs.append(([(src, c) for c in configs], lm))
         fast = [beam_search_fusion(*run) for run in runs]
         monkeypatch.setattr(fusion_mod, "_select", reference_select)
         assert fast == [beam_search_fusion(*run) for run in runs]
@@ -767,8 +784,8 @@ class TestSelect:
         monkeypatch.setattr(fusion_mod.np, "lexsort",
                             lambda keys: sizes.append(len(keys[0])) or real(keys))
         src = LatticeSource(random_lattice(221, 12, seed=1200))
-        beam_search_fusion(src, TableLm.random(221, 9, seed=1200),
-                           [FusionConfig(lam=lam, beam_size=8) for lam in (0.0, 0.6)])
+        beam_search_fusion([(src, FusionConfig(lam=lam, beam_size=8)) for lam in (0.0, 0.6)],
+                           TableLm.random(221, 9, seed=1200))
         assert len(sizes) >= 20 and max(sizes) == 8
 
 
@@ -847,19 +864,19 @@ class TestDecodeFiles:
             ids = rng.integers(4, vocab.size, size=3)
             save_lattice(one_hot_lattice(tuple(ids), vocab.size),
                          tmp_path / f"{name}.lat")
-        rows = decode_utterances(tmp_path, None,
-                                 FusionConfig(lam=0.0, beam_size=4), vocab)
+        (rows,) = decode_utterances(tmp_path, None,
+                                    [FusionConfig(lam=0.0, beam_size=4)], vocab)
         assert [r.utt_id for r in rows] == ["a-utt", "b-utt", "c-utt"]
 
     def test_directory_without_lattices(self, tmp_path, synth_pipeline):
         with pytest.raises(FileNotFoundError):
             decode_utterances(tmp_path, None,
-                              FusionConfig(lam=0.0, beam_size=4),
+                              [FusionConfig(lam=0.0, beam_size=4)],
                               synth_pipeline["vocab"])
 
     def test_directory_vocab_mismatch(self, tmp_path, synth_pipeline):
         save_lattice(random_lattice(9, 3, seed=21), tmp_path / "u.lat")
         with pytest.raises(VocabMismatchError):
             decode_utterances(tmp_path, None,
-                              FusionConfig(lam=0.0, beam_size=4),
+                              [FusionConfig(lam=0.0, beam_size=4)],
                               synth_pipeline["vocab"])

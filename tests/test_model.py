@@ -11,8 +11,8 @@ from moefusion import autodiff as ad
 from moefusion.errors import ConfigError
 from moefusion.model import (
     FfnParams, LmState, MoeLmConfig, _ffn, _mixture, _segment_positions, build_forward,
-    gate_topk, init_params, initial_state, lm_forward, lm_score_rows, lm_score_step,
-    param_shapes, positional_table,
+    gate_topk, init_params, initial_state, kv_position_bytes, lm_forward, lm_score_rows,
+    lm_score_step, param_shapes, positional_table,
 )
 from moefusion.tokenizer import BOS_ID
 
@@ -408,6 +408,14 @@ class TestScoreStep:
             _, block = block_walk(params, tiny_config, seqs)
             for r, (ids, want) in enumerate(chunk):
                 assert np.abs(block[len(ids) - 1, r] - want).max() < 1e-5
+
+    def test_kv_position_bytes_is_the_block_layout(self, tiny_config):
+        params = init_params(tiny_config, 0)
+        block, _ = lm_score_step(params, tiny_config, initial_state(tiny_config), BOS_ID)
+        block, _ = lm_score_rows(params, tiny_config, block, np.zeros(3, dtype=np.int64),
+                                 np.array([4, 5, 6]))
+        held = sum(a.nbytes for a in block.keys + block.values)
+        assert held == kv_position_bytes(tiny_config) * 3 * block.position == 3 * 2 * 512
 
     def test_state_branching_is_pure(self, tiny_config):
         params = init_params(tiny_config, 0)

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from moefusion.errors import NumericError
-from moefusion.numerics import grad_check, log_softmax, logsumexp, softmax
+from moefusion.numerics import log_softmax, logsumexp, softmax
 
 
 def mp_log_softmax(values):
