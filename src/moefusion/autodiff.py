@@ -132,16 +132,14 @@ def swapaxes(a, ax1, ax2):
                  [(a, lambda g: np.swapaxes(g, ax1, ax2))])
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     av = value(a)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, av.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return np.broadcast_to(gg, av.shape).copy()
 
-    return _node(av.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
+    return _node(av.sum(axis=axis), [(a, vjp)])
 
 
 def softmax(a, axis=-1):

@@ -19,7 +19,7 @@ from .adafactor import LR_SCHEDULES, AdafactorHyper
 from .checkpoint import load_checkpoint
 from .errors import UsageError, read_text
 from .fusion import (
-    FusionConfig, decode_utterances, read_decodes, write_decodes,
+    CheckpointLmScorer, FusionConfig, decode_utterances, read_decodes, write_decodes,
 )
 from .model import MoeLmConfig
 from .synthetic import gen_synthetic
@@ -148,7 +148,8 @@ def cmd_decode(args) -> int:
     _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
-    lm = load_checkpoint(_require_file(args.lm, "LM checkpoint")) if args.lm else None
+    lm = CheckpointLmScorer(load_checkpoint(_require_file(args.lm, "LM checkpoint"))) \
+        if args.lm else None
     config = FusionConfig(
         lam=args.lam, beam_size=args.beam, max_len=args.max_len,
         length_normalize=args.length_normalize,
@@ -169,6 +170,15 @@ def _read_hyps(path: Path) -> dict[str, str]:
     if first.count(b"\t") == 4:
         return {row.utt_id: row.text for row in read_decodes(path)}
     return {utt: text for utt, (_, text) in read_utt_file(path).items()}
+
+
+def _read_refs(path: Path) -> dict[str, tuple[str, str]]:
+    """read_utt_file of a reference file, in which every text has a word."""
+    refs = read_utt_file(path)
+    empty = next((utt for utt, (_, text) in refs.items() if not text.split()), None)
+    if empty is not None:
+        raise ValueError(f"{path}: reference {empty!r} has no words")
+    return refs
 
 
 def _check_ids(refs: dict[str, tuple[str, str]], utt_ids: list[str]) -> None:
@@ -196,7 +206,7 @@ def _evaluate(refs: dict[str, tuple[str, str]], hyps: dict[str, str]):
 def cmd_evaluate(args) -> int:
     refs_path = _require_file(args.refs, "reference file")
     hyps_path = _require_file(args.hyps, "hypothesis file")
-    refs = read_utt_file(refs_path)
+    refs = _read_refs(refs_path)
     per_locale = _evaluate(refs, _read_hyps(hyps_path))
     baseline = None
     if args.baseline:
@@ -243,8 +253,8 @@ def cmd_sweep_lambda(args) -> int:
     _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
-    refs = read_utt_file(_require_file(args.refs, "reference file"))
-    lm = load_checkpoint(_require_file(args.lm, "LM checkpoint"))
+    refs = _read_refs(_require_file(args.refs, "reference file"))
+    lm = CheckpointLmScorer(load_checkpoint(_require_file(args.lm, "LM checkpoint")))
     configs = [FusionConfig(lam=lam, beam_size=args.beam, max_len=args.max_len)
                for lam in values]
     decodes = decode_utterances(lattice_dir, lm, configs, vocab,

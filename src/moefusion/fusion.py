@@ -12,10 +12,13 @@ the exhaustive oracle's.
 
 One beam search runs a set of jobs in lockstep, each a (source, config)
 pair: several configs over one source (a lambda sweep), several utterances,
-or both. Each job's beam selects exactly as it would alone. Every row of a
-step sits at the same position, so each step the LM scores the distinct
-children of every job in one advance_rows call, each child named by its
-parent's LM row * V + token; jobs that share a prefix share its row.
+or both. Each job's beam selects exactly as it would alone while each LM
+product of a step stays under about 1e6 multiply-adds (OpenBLAS rounds a
+row by the row count from 142 rows at d=32, V=221, and 16 at d=128; ROADMAP
+item 14). Every row of a step sits at the same position, so each step the
+LM scores the distinct children of every job in one advance_rows call,
+each child named by its parent's LM row * V + token; jobs that share a
+prefix share its row.
 decode_utterances runs the utterances of a directory in such searches, in
 batches whose estimated peak bytes stay within DECODE_BATCH_BYTES.
 
@@ -169,19 +172,11 @@ class CheckpointLmScorer:
         return lm_score_rows(self._params, self.config, block, parents, tokens)
 
 
-def _wrap_lm(lm):
-    if lm is None:
-        return None
-    if isinstance(lm, Checkpoint):
-        return CheckpointLmScorer(lm)
-    return lm
-
-
-def _check_vocab(source, lm_scorer):
-    if lm_scorer is not None and lm_scorer.vocab_size != source.vocab_size:
+def _check_vocab(source, lm):
+    if lm is not None and lm.vocab_size != source.vocab_size:
         raise VocabMismatchError(
             f"posterior source has vocab {source.vocab_size}, "
-            f"LM has {lm_scorer.vocab_size}"
+            f"LM has {lm.vocab_size}"
         )
 
 
@@ -196,17 +191,16 @@ def beam_search_fusion(jobs: Sequence[tuple[PosteriorSource, FusionConfig]], lm)
     returns one list per job of its finished hypotheses, best first (a
     caller wanting n takes [:n]).
 
-    lm may be None (pure e2e), a Checkpoint, or any scorer with the two
-    block calls of CheckpointLmScorer. The jobs' sources share one vocab;
-    the jobs run in lockstep, each selecting exactly as it would alone. The
-    LM starts once and scores each step's distinct children of every job in
-    one advance_rows call: O(beam * length) rows per job, fewer where jobs
-    share prefixes.
+    lm is None (pure e2e) or a scorer with the two block calls of
+    CheckpointLmScorer. The jobs' sources share one vocab; the jobs run in
+    lockstep, each selecting as it would alone (within the module docstring's
+    bound). The LM starts once and scores each step's distinct children of
+    every job in one advance_rows call: O(beam * length) rows per job, fewer
+    where jobs share prefixes.
     """
     sources, configs = [s for s, _ in jobs], [c for _, c in jobs]
-    lm_scorer = _wrap_lm(lm)
     for s in sources:
-        _check_vocab(s, lm_scorer)
+        _check_vocab(s, lm)
     v = sources[0].vocab_size if sources else 0
     if any(s.vocab_size != v for s in sources):
         raise VocabMismatchError("the sources of one search differ in vocab size")
@@ -214,8 +208,8 @@ def beam_search_fusion(jobs: Sequence[tuple[PosteriorSource, FusionConfig]], lm)
 
     # The step's floored LM rows, one per distinct child; zeros without an LM.
     block, table = None, np.broadcast_to(0.0, (1, v))
-    if lm_scorer is not None:
-        block, dist0 = lm_scorer.start_rows()
+    if lm is not None:
+        block, dist0 = lm.start_rows()
         table = _floor(dist0)[None]
     # A beam is its lex-sorted token prefixes, a (B, 3) array of their
     # (e2e, lm, combined) scores and each prefix's row in block and table.
@@ -230,10 +224,10 @@ def beam_search_fusion(jobs: Sequence[tuple[PosteriorSource, FusionConfig]], lm)
                            pools[i]) for i in live]
         keys, inverse = np.unique(np.concatenate([k for _, _, k in kids]),
                                   return_inverse=True)
-        if lm_scorer is None:
+        if lm is None:
             table = np.broadcast_to(0.0, (keys.size, v))
         elif keys.size:
-            block, table = lm_scorer.advance_rows(block, *np.divmod(keys, v))
+            block, table = lm.advance_rows(block, *np.divmod(keys, v))
             table = _floor(table, out=table)
         split = np.split(inverse, np.cumsum([len(k) for _, _, k in kids])[:-1])
         for i, (prefixes, scores, _), rows in zip(live, kids, split):
@@ -299,13 +293,12 @@ def exhaustive_oracle(
     tokens in lex order, scored by one source.rows call, and one advance_rows
     call scores all their non-EOS children. Memory is the widest level,
     (V-1)^max_len prefixes. Refuses, before any scoring, when |V|^max_len
-    exceeds 1e6 or that level's float64 LM rows and (for a checkpoint) KV
-    block of max_len + 1 positions exceed ORACLE_LM_BYTES, or when lam breaks
-    FusionConfig's rule.
+    exceeds 1e6 or that level's float64 LM rows and (for a scorer with a
+    model config) KV block of max_len + 1 positions exceed ORACLE_LM_BYTES,
+    or when lam breaks FusionConfig's rule.
     """
     FusionConfig(lam=lam)
-    lm_scorer = _wrap_lm(lm)
-    _check_vocab(source, lm_scorer)
+    _check_vocab(source, lm)
     v = source.vocab_size
     eff_max = max(0, min(max_len, source.max_steps - 1))
     space = float(v) ** eff_max
@@ -313,17 +306,17 @@ def exhaustive_oracle(
         raise ValueError(
             f"oracle space {v}^{eff_max} ~ {space:.2e} sequences exceeds 1e6"
         )
-    width, c = (v - 1) ** eff_max, getattr(lm_scorer, "config", None)
+    width, c = (v - 1) ** eff_max, getattr(lm, "config", None)
     kv = 0 if c is None else kv_position_bytes(c) * (eff_max + 1)
-    if lm_scorer is not None and width * (8 * v + kv) > ORACLE_LM_BYTES:
+    if lm is not None and width * (8 * v + kv) > ORACLE_LM_BYTES:
         raise ValueError(f"the oracle's widest level of {width} LM rows needs "
                          f"{width * (8 * v + kv)} bytes, over the {ORACLE_LM_BYTES}-byte budget")
 
     content = np.delete(np.arange(v), EOS_ID)
     prefixes, sums = [()], np.zeros((1, 2))  # each prefix's (e2e, lm) sums
     lm_rows = np.broadcast_to(0.0, (1, v))
-    if lm_scorer is not None:
-        block, dist0 = lm_scorer.start_rows()
+    if lm is not None:
+        block, dist0 = lm.start_rows()
         lm_rows = _floor(dist0)[None]
     level_bests = []
     for d in range(eff_max + 1):
@@ -339,30 +332,23 @@ def exhaustive_oracle(
         toks = np.tile(content, len(prefixes))
         sums = sums[parents] + np.stack([rows[parents, toks], lm_rows[parents, toks]], axis=1)
         prefixes = [prefixes[p] + (tok,) for p, tok in zip(parents.tolist(), toks.tolist())]
-        if lm_scorer is None:
+        if lm is None:
             lm_rows = np.broadcast_to(0.0, (len(prefixes), v))
         else:
-            block, dist = lm_scorer.advance_rows(block, parents, toks)
+            block, dist = lm.advance_rows(block, parents, toks)
             lm_rows = _floor(dist, out=dist)
 
 
-def save_lattice(frames: np.ndarray, path: str | Path, binary: bool = False) -> None:
-    """Write a (T, V) log-distribution array as text `lat1` or binary `latb1`."""
+def save_lattice(frames: np.ndarray, path: str | Path) -> None:
+    """Write a (T, V) log-distribution array as a text `lat1` lattice."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValueError(f"lattice must be 2-D, got shape {frames.shape}")
     t, v = frames.shape
-    path = Path(path)
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(_BIN_MAGIC)
-            fh.write(struct.pack("<II", t, v))
-            fh.write(frames.astype("<f4").tobytes())
-        return
     lines = [f"lat1 {t} {v}"]
     for row in frames:
         lines.append(" ".join(f"{x:.17g}" for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_lattice(path: str | Path) -> np.ndarray:
@@ -498,7 +484,7 @@ def decode_utterances(
     paths = sorted(lattice_dir.glob("*.lat"))
     if not paths:
         raise FileNotFoundError(f"no *.lat files in {lattice_dir}")
-    lm_config = getattr(_wrap_lm(lm), "config", None)
+    lm_config = getattr(lm, "config", None)  # test scorers have none
     sources = [_checked_lattice(p, vocab, configs, lm_config) for p in paths]
     if check_ids is not None:
         check_ids([p.stem for p in paths])

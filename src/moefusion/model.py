@@ -301,7 +301,8 @@ def _output_head(x, params, config: MoeLmConfig):
     if isinstance(w, np.ndarray):
         # OpenBLAS rounds a row of a product with a transposed view
         # differently as the row count changes; with a contiguous (d, V) copy
-        # it does not, below about 1e6 multiply-adds, as lm_score_rows needs.
+        # it does not, as lm_score_rows needs, but only below about 1e6
+        # multiply-adds: from 142 rows at d=32, V=221 (ROADMAP item 14).
         w = np.ascontiguousarray(w)
     return ad.log_softmax(x @ w, axis=-1)
 
@@ -444,7 +445,9 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, block: 
     runs as two equal rows (here, and an expert's in _ffn): a row's value
     then does not depend, bit for bit, on the other rows, given that gemm
     rounds a row alike for any row count >= 2 with contiguous weights (see
-    _output_head; the lockstep tests check).
+    _output_head; the lockstep tests check). OpenBLAS does so below about 1e6
+    multiply-adds a product: from 142 rows at d=32, V=221 and from 16 rows at
+    d=128, rows differ (ROADMAP item 14).
     """
     p = block.position
     if p >= config.max_seq_len:

@@ -29,16 +29,14 @@ def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def logsumexp(v: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Stable log(sum(exp(v))) along axis (all elements if axis is None)."""
+def logsumexp(v: np.ndarray, axis: int) -> np.ndarray:
+    """Stable log(sum(exp(v))) along axis."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("logsumexp of an empty array is undefined")
     check_finite(v, "logsumexp input")
     m = np.max(v, axis=axis, keepdims=True)
     out = m + np.log(np.sum(np.exp(v - m), axis=axis, keepdims=True))
-    if axis is None:
-        return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
 
 

@@ -51,13 +51,12 @@ def pack_batches(
     batch_size: int,
     packing_factor: int = 4,
     seed: int = 0,
-    shuffle: bool = True,
 ) -> tuple[list[PackedBatch], PackStats]:
     """Pack sentences into batches of (batch_size, max_seq_len) rows.
 
-    Greedy first-fit in corpus order, shuffled by seed unless shuffle is
-    False; a sentence longer than max_seq_len - 2 is truncated and counted.
-    The trailing partial row/batch is padded out, never dropped.
+    Greedy first-fit in an order shuffled by seed; a sentence longer than
+    max_seq_len - 2 is truncated and counted. The trailing partial row/batch
+    is padded out, never dropped.
     """
     if max_seq_len < 3:
         raise ValueError("max_seq_len must fit at least BOS, one token, EOS")
@@ -68,9 +67,8 @@ def pack_batches(
         raise ValueError("no sentences to pack")
 
     stats = PackStats(sentences=len(seqs))
-    if shuffle:
-        order = np.random.default_rng([seed, 0x9ACC]).permutation(len(seqs))
-        seqs = [seqs[i] for i in order]
+    order = np.random.default_rng([seed, 0x9ACC]).permutation(len(seqs))
+    seqs = [seqs[i] for i in order]
 
     limit = max_seq_len - 2
     rows: list[list[int]] = []

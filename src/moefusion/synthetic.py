@@ -110,10 +110,15 @@ def gen_synthetic(
     eval_per_locale: int = 30,
     vocab_size: int = 512,
 ) -> SynthPaths:
-    """Write corpora, manifests, vocab, references and lattices under out_dir."""
+    """Write corpora, manifests, vocab, references and lattices under out_dir.
+    A *.lat in out_dir/lattices that this run would not write raises first."""
     root = Path(out_dir)
-    (root / "corpus").mkdir(parents=True, exist_ok=True)
     lattice_dir = root / "lattices"
+    ours = {f"{loc}-{i:04d}.lat" for loc in LOCALES for i in range(eval_per_locale)}
+    stray = sorted(p for p in lattice_dir.glob("*.lat") if p.name not in ours)
+    if stray:
+        raise ValueError(f"{stray[0]} is not a lattice of this task; use an empty output directory")
+    (root / "corpus").mkdir(parents=True, exist_ok=True)
     lattice_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng([seed, 0x5717])
 

@@ -54,14 +54,14 @@ class WerBreakdown:
         )
 
 
-def wer(ref: str | Sequence[str], hyp: str | Sequence[str]) -> WerBreakdown:
-    """Align hyp against ref and count substitutions/deletions/insertions.
+def wer(ref: str, hyp: str) -> WerBreakdown:
+    """Align hyp against ref, both whitespace-split into words, and count
+    substitutions/deletions/insertions.
 
-    Strings are whitespace-split; an empty reference is an error, an empty
-    hypothesis scores len(ref) deletions.
+    An empty reference is an error, an empty hypothesis scores len(ref)
+    deletions.
     """
-    r = ref.split() if isinstance(ref, str) else list(ref)
-    h = hyp.split() if isinstance(hyp, str) else list(hyp)
+    r, h = ref.split(), hyp.split()
     if not r:
         raise ValueError("reference must contain at least one word")
 

@@ -2,18 +2,44 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
 from moefusion import autodiff as ad
+from moefusion.adafactor import AdafactorHyper
 from moefusion.checkpoint import Checkpoint
 from moefusion.errors import ConfigError, NumericError
-from moefusion.fusion import _floor, beam_search_fusion
-from moefusion.model import LmState, _ffn, gate_topk, initial_state, lm_score_rows
+from moefusion.fusion import _BIN_MAGIC, _floor, beam_search_fusion
+from moefusion.model import LmState, MoeLmConfig, _ffn, gate_topk, initial_state, lm_score_rows
 from moefusion.numerics import check_finite, log_softmax
-from moefusion.tokenizer import BOS_ID
+from moefusion.synthetic import gen_synthetic
+from moefusion.tokenizer import BOS_ID, Vocab, encode, read_corpus
+from moefusion.trainer import train
+
+
+def build_synth_pipeline(root: Path) -> dict:
+    """The generated task at seed 0 under root, plus an LM trained on it."""
+    paths = gen_synthetic(root, seed=0)
+    vocab = Vocab.load(paths.vocab)
+    sentences = [encode(text, vocab) for _, text in read_corpus(paths.lm_manifest)]
+    config = MoeLmConfig(
+        num_layers=2, model_dim=32, num_heads=2, head_dim=16,
+        num_experts=4, experts_per_token=2, vocab_size=vocab.size,
+        max_seq_len=64,
+    )
+    hyper = AdafactorHyper(learning_rate=0.05, warmup_steps=50)
+    ckpt, log = train(sentences, config, hyper, steps=300, seed=0, batch_size=8)
+    return {
+        "paths": paths,
+        "vocab": vocab,
+        "config": config,
+        "checkpoint": ckpt,
+        "train_log": log,
+    }
 
 
 def record_var_inits(monkeypatch) -> list:
@@ -259,6 +285,14 @@ class UniformLm:
 
     def advance_rows(self, block, parents, tokens):
         return None, np.tile(self._row, (len(tokens), 1))
+
+
+def save_binary_lattice(frames, path) -> None:
+    """Write a (T, V) array as a binary `latb1` lattice, which load_lattice
+    reads back as float32 frames."""
+    frames = np.asarray(frames, dtype=np.float64)
+    t, v = frames.shape
+    Path(path).write_bytes(_BIN_MAGIC + struct.pack("<II", t, v) + frames.astype("<f4").tobytes())
 
 
 def random_lattice(vocab_size: int, n_rows: int, seed: int, scale: float = 2.0):

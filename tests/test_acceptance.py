@@ -17,7 +17,7 @@ from moefusion.accounting import count_params_flops
 from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main as cli_main
 from moefusion.fusion import (
-    FusionConfig, LatticeSource, decode_utterances, exhaustive_oracle,
+    CheckpointLmScorer, FusionConfig, LatticeSource, decode_utterances, exhaustive_oracle,
 )
 from moefusion.model import (
     FfnParams, MoeLmConfig, _mixture, build_forward, gate_topk, init_params,
@@ -142,15 +142,15 @@ def test_criterion_04_routing_invariants(capsys):
 
 def test_criterion_05_fusion_search(capsys, synth_pipeline):
     t0 = time.perf_counter()
-    ckpt = synth_pipeline["checkpoint"]
-    v = ckpt.config.vocab_size
+    scorer = CheckpointLmScorer(synth_pipeline["checkpoint"])
+    v = scorer.vocab_size
 
     # (a) lam = 0 with a trained LM attached is token-identical to no LM
     identical = 0
     for seed in range(100):
         src = LatticeSource(random_lattice(v, 4, seed + 5000))
         cfg = FusionConfig(lam=0.0, beam_size=8)
-        with_lm = search(src, ckpt, cfg)
+        with_lm = search(src, scorer, cfg)
         without = search(src, None, cfg)
         if [h.tokens for h in with_lm] == [h.tokens for h in without]:
             identical += 1
@@ -188,11 +188,9 @@ def test_criterion_06_full_model_gradients(capsys):
                       num_experts=4, experts_per_token=2, vocab_size=32,
                       max_seq_len=16)
     rng = np.random.default_rng(60)
-    data = [list(rng.integers(4, 32, size=rng.integers(3, 7)))
-            for _ in range(8)]
-    batches, _ = pack_batches(data, max_seq_len=8, batch_size=1,
-                              shuffle=False)
-    batch = batches[0]
+    sentence = list(rng.integers(4, 32, size=rng.integers(3, 7)))
+    # One sentence of 3-6 tokens, padded out to a row of 8.
+    (batch,), _ = pack_batches([sentence], max_seq_len=8, batch_size=1)
     params = init_params(cfg, 0)
 
     def loss_fn(p):
@@ -220,7 +218,7 @@ def test_criterion_07_pipeline_improves_wer(capsys, synth_pipeline):
     t0 = time.perf_counter()
     paths = synth_pipeline["paths"]
     vocab = synth_pipeline["vocab"]
-    ckpt = synth_pipeline["checkpoint"]
+    scorer = CheckpointLmScorer(synth_pipeline["checkpoint"])
     refs = read_utt_file(paths.refs)
 
     def decode_wer(lam, lm):
@@ -232,12 +230,12 @@ def test_criterion_07_pipeline_improves_wer(capsys, synth_pipeline):
         return rows, pooled.wer
 
     no_lm_rows, base_wer = decode_wer(0.0, None)
-    lam0_rows, lam0_wer = decode_wer(0.0, ckpt)
+    lam0_rows, lam0_wer = decode_wer(0.0, scorer)
     texts_match = [r.text for r in no_lm_rows] == [r.text for r in lam0_rows]
 
     fused = {}
     for lam in (0.1, 0.2, 0.3, 0.4, 0.5):
-        _, fused[lam] = decode_wer(lam, ckpt)
+        _, fused[lam] = decode_wer(lam, scorer)
     best_lam, best_wer = min(fused.items(), key=lambda kv: kv[1])
     elapsed = time.perf_counter() - t0
     ok = (texts_match and lam0_wer == base_wer and best_wer < base_wer
@@ -270,7 +268,7 @@ def test_criterion_08_wer_reference_agreement(capsys):
     for idx in range(10_000):
         r = [words[i] for i in rng.integers(0, 10, rng.integers(1, 8))]
         h = [words[i] for i in rng.integers(0, 10, rng.integers(0, 8))]
-        b = wer(r, h)
+        b = wer(" ".join(r), " ".join(h))
         if b.errors != reference_distance(r, h):
             mismatches += 1
         whole = whole + b

@@ -10,6 +10,7 @@ import moefusion.cli as cli_mod
 import moefusion.fusion as fusion_mod
 import moefusion.model as model_mod
 import moefusion.wer as wer_mod
+from helpers import save_binary_lattice
 from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main
 from moefusion.errors import read_text
@@ -32,20 +33,20 @@ def write_bad_lattice(path, case, v):
     """A `b_bad.lat`-style lattice with one of the faults a load must name."""
     rows = normalized(np.random.default_rng(9).standard_normal((6, v)))
     if case == "truncated":
-        save_lattice(rows, path, binary=True)
+        save_binary_lattice(rows, path)
         path.write_bytes(path.read_bytes()[:-4])
     elif case == "nan_row":
         rows[2, 5] = np.nan
-        save_lattice(rows, path, binary=True)
+        save_binary_lattice(rows, path)
     elif case == "wrong_vocab":
-        save_lattice(normalized(np.zeros((6, v + 1))), path, binary=True)
+        save_binary_lattice(normalized(np.zeros((6, v + 1))), path)
     elif case == "zero_rows":
-        save_lattice(np.zeros((0, v)), path, binary=True)
+        save_binary_lattice(np.zeros((0, v)), path)
     elif case == "zero_rows_text":
         save_lattice(np.zeros((0, v)), path)
     elif case == "unnormalized":
         rows[1] += 0.25
-        save_lattice(rows, path, binary=True)
+        save_binary_lattice(rows, path)
 
 
 def spy_searches(monkeypatch) -> list:
@@ -315,7 +316,7 @@ class TestDecodeCommand:
         long_ = rng.standard_normal((70, v))
         for name, x in (("a_short", short), ("b_long", long_)):
             rows = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
-            save_lattice(rows, lat_dir / f"{name}.lat", binary=True)
+            save_binary_lattice(rows, lat_dir / f"{name}.lat")
         searches = spy_searches(monkeypatch)
         base = ["decode", "--lattice-dir", str(lat_dir),
                 "--vocab", str(paths.vocab), "--lm", str(lm_dir),
@@ -383,6 +384,17 @@ class TestEvaluateCommand:
         assert rep.micro_avg_wer <= base_rep.micro_avg_wer
         out = capsys.readouterr().out
         assert "macro avg" in out
+
+    def test_empty_reference_named(self, tmp_path, capsys):
+        refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
+        refs.write_text("u1\tloc-a\ta b\nu2\tloc-a\t \n")
+        hyps.write_text("u1\tloc-a\ta b\nu2\tloc-a\t\n")  # an empty hypothesis is fine
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(refs) in err and "'u2'" in err
+        assert not out.exists()
 
     def test_baseline_with_a_perfect_locale(self, tmp_path, capsys):
         refs, base, hyps = (tmp_path / f"{n}.tsv" for n in ("refs", "base", "hyps"))
@@ -591,6 +603,23 @@ class TestSweepCommand:
         assert "0.3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_reference_named_before_any_search(self, synth_pipeline, lm_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        paths = synth_pipeline["paths"]
+        lines = paths.refs.read_text().splitlines()
+        utt, locale, _ = lines[3].split("\t")
+        lines[3] = f"{utt}\t{locale}\t"
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "sweep"
+        out.mkdir()
+        searches = spy_searches(monkeypatch)
+        assert self.sweep(paths.lattice_dir, paths.vocab, lm_dir, refs, out,
+                          "--values", "0,0.3") == 2
+        err = capsys.readouterr().err
+        assert str(refs) in err and repr(utt) in err
+        assert searches == [] and list(out.iterdir()) == []
+
     def test_zero_beam_is_usage_error(self, synth_pipeline, lm_dir, tmp_path, capsys):
         paths = synth_pipeline["paths"]
         out = tmp_path / "sweep"
@@ -629,8 +658,8 @@ class TestSweepCommand:
         lat_dir.mkdir()
         rng = np.random.default_rng(5)
         for name, n in (("a_short", 12), ("b_long", 70)):
-            save_lattice(normalized(rng.standard_normal((n, v))),
-                         lat_dir / f"{name}.lat", binary=True)
+            save_binary_lattice(normalized(rng.standard_normal((n, v))),
+                                lat_dir / f"{name}.lat")
         refs = tmp_path / "refs.tsv"
         refs.write_text("a_short\tloc-a\tsome words\nb_long\tloc-a\tmore words\n")
         searches = spy_searches(monkeypatch)
@@ -703,6 +732,16 @@ class TestGenSyntheticCommand:
         assert rc == 0
         assert (tmp_path / "task" / "refs.tsv").exists()
         assert len(list((tmp_path / "task" / "lattices").glob("*.lat"))) == 8
+
+    def test_stray_lattice_refused_before_writing(self, tmp_path, capsys):
+        argv = ["gen-synthetic", "--output-dir", str(tmp_path), "--seed", "1",
+                "--sentences", "40", "--vocab-size", "256"]
+        assert main(argv + ["--eval-utts", "4"]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(argv + ["--eval-utts", "2"]) == 2
+        assert str(tmp_path / "lattices" / "loc-a-0002.lat") in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert main(argv + ["--eval-utts", "4"]) == 0  # the same task may be rewritten
 
 
 def test_decode_reaches_the_traced_lookup_sites(synth_pipeline, lm_dir, tmp_path,

@@ -1,7 +1,8 @@
 """Every name a module lists in __all__ exists in it, every name a module
 imports is used in it, each submodule attribute of the package is its
-module, and every top-level definition is reachable from the program or
-the benchmark."""
+module, every top-level definition is reachable from the program or the
+benchmark, and every parameter with a default is passed by one of their
+calls."""
 
 import ast
 import importlib
@@ -57,11 +58,9 @@ def _exported(tree):
 
 
 def test_no_unused_imports():
-    """__init__.py re-exports by design, and a name listed in __all__ counts as used."""
+    """A name listed in __all__ counts as used."""
     unused = []
     for path in sorted(Path(moefusion.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _used_names(tree) | _exported(tree)
         for node in ast.walk(tree):
@@ -93,8 +92,6 @@ class _Package:
         self.imports: dict[str, dict[str, tuple[str, str | None]]] = {}
         self.import_time: list[tuple[str, ast.AST]] = []  # statements run on import
         for path in sorted(Path(moefusion.__file__).parent.glob("*.py")):
-            if path.name == "__init__.py":  # re-exports only
-                continue
             mod = path.stem
             self.defs[mod], self.imports[mod] = {}, {}
             for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -173,3 +170,62 @@ def test_every_definition_is_reachable():
     unreached = sorted(f"{mod}.{name}" for mod, names in pkg.defs.items()
                        for name in names if (mod, name) not in seen)
     assert not unreached, f"defined in src/moefusion but used only by tests: {unreached}"
+
+
+def _calls(paths):
+    """Every call in the files, as (callee's last name, call node)."""
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                yield (n.func.id if isinstance(n.func, ast.Name) else n.func.attr), n
+
+
+def _defs(path):
+    """(where, the name a call uses, positions a call skips, def) for every
+    function and method of a module; a class's __init__ is called by the
+    class's name, and a method's self is not passed at the call."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(top, ast.FunctionDef):
+            yield f"{path.stem}.{top.name}", top.name, 0, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    yield (f"{path.stem}.{top.name}.{node.name}",
+                           top.name if node.name == "__init__" else node.name,
+                           0 if static else 1, node)
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, or None if keyword-only; name) of each parameter with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if d is not None]
+
+
+def _passes(call: ast.Call, skip: int, position: int | None, name: str) -> bool:
+    if any(k.arg is None or k.arg == name for k in call.keywords):  # name= or **kw
+        return True
+    if position is None:
+        return False
+    given = [a for a in call.args if not isinstance(a, ast.Starred)]
+    return len(given) + skip > position or len(given) < len(call.args)  # or *args
+
+
+def test_every_parameter_is_passed():
+    """A parameter with a default that no call in the program or the
+    benchmark passes has one value in use; its other values serve only
+    tests."""
+    src = sorted(Path(moefusion.__file__).parent.glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    for name, call in _calls(src + [BENCH / "run.py", BENCH / "worker.py",
+                                    BENCH / "test_checks.py"]):
+        calls.setdefault(name, []).append(call)
+    unpassed = [f"{where}.{param}"
+                for path in src for where, name, skip, fn in _defs(path)
+                for position, param in _defaulted(fn)
+                if not any(_passes(c, skip, position, param) for c in calls.get(name, []))]
+    assert not unpassed, f"parameters that only tests pass: {sorted(unpassed)}"

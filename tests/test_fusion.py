@@ -10,7 +10,7 @@ import helpers
 import moefusion.fusion as fusion_mod
 from helpers import (
     CountingLm, ModelSource, TableLm, UniformLm, random_lattice,
-    reference_select, search,
+    reference_select, save_binary_lattice, search,
 )
 from moefusion.adafactor import AdafactorHyper
 from moefusion.errors import NumericError, VocabMismatchError
@@ -89,7 +89,7 @@ class TestLatticeSource:
         from moefusion.numerics import logsumexp
         frames = random_lattice(8, 2, seed=4)
         frames[0, 5] = -1e12  # deep but legal once floored
-        frames[0] -= logsumexp(frames[0])
+        frames[0] -= logsumexp(frames[0], axis=0)
         src = LatticeSource(frames)
         assert src.rows([()], 0)[0, 5] == -1e9
 
@@ -397,7 +397,7 @@ class TestModelSource:
     def test_vocab_mismatch_detected(self, trained):
         src = LatticeSource(random_lattice(12, 3, seed=15))
         with pytest.raises(VocabMismatchError):
-            search(src, trained,
+            search(src, CheckpointLmScorer(trained),
                    FusionConfig(lam=0.1, beam_size=4))
 
 
@@ -469,15 +469,15 @@ class TestScorerProtocol:
                                for prefix in itertools.product(content, repeat=d)]
 
     def test_oracle_lm_budget_refuses_before_scoring(self, trained, monkeypatch):
-        c = trained.config
+        c, scorer = trained.config, CheckpointLmScorer(trained)
         cell = 16 * c.num_layers * c.num_heads * c.head_dim  # one row's KV, one position
         budget = 7 * (8 * 8 + 2 * cell)  # max_len=1: 7 LM rows over V = 8, 2 positions
         monkeypatch.setattr(fusion_mod, "ORACLE_LM_BYTES", budget)
         src = LatticeSource(random_lattice(8, 4, seed=82))
-        exhaustive_oracle(src, trained, 0.3, max_len=1)
+        exhaustive_oracle(src, scorer, 0.3, max_len=1)
         with pytest.raises(ValueError, match=f"49 LM rows needs {49 * (64 + 3 * cell)} "
                            f"bytes, over the {budget}-byte budget"):
-            exhaustive_oracle(src, trained, 0.3, max_len=2)
+            exhaustive_oracle(src, scorer, 0.3, max_len=2)
         # a scorer without a checkpoint config is charged its LM rows only
         monkeypatch.setattr(fusion_mod, "ORACLE_LM_BYTES", 48 * 64)
         lm = CountingLm(TableLm.random(8, 4, seed=82))
@@ -485,7 +485,7 @@ class TestScorerProtocol:
             exhaustive_oracle(src, lm, 0.3, max_len=2)
         assert lm.starts == 0 and lm.blocks == 0
         # the beam is not capped: 64 rows of 4 positions decode as before
-        search(src, trained, FusionConfig(lam=0.3, beam_size=64))
+        search(src, scorer, FusionConfig(lam=0.3, beam_size=64))
 
     def test_default_config_oracle_is_refused(self):
         # V = 16,384: the first level would hold 2.1 GB of LM rows and a
@@ -542,12 +542,12 @@ class TestLockstepSearch:
         # row count >= 2; this test and the row-subset check in
         # test_model.py::TestScoreStep::test_block_matches_one_row_steps
         # check that for the BLAS at hand.
-        rng = np.random.default_rng(43)
+        rng, lm = np.random.default_rng(43), CheckpointLmScorer(trained)
         for seed in range(4):
             src = LatticeSource(random_lattice(8, 11, seed + 970))
             configs = sweep_configs(rng)
-            assert beam_search_fusion([(src, c) for c in configs], trained) == \
-                [search(src, trained, c) for c in configs]
+            assert beam_search_fusion([(src, c) for c in configs], lm) == \
+                [search(src, lm, c) for c in configs]
 
     def test_matches_per_config_search_on_model_source(self, trained):
         rng = np.random.default_rng(44)
@@ -635,7 +635,7 @@ class TestLockstepUtterances:
         rng = np.random.default_rng(1302)
         for seed in range(4):
             sources, configs = utterance_jobs(rng, trained.config.vocab_size, seed + 200)
-            self.assert_lone_searches_match(sources, trained, configs)
+            self.assert_lone_searches_match(sources, CheckpointLmScorer(trained), configs)
 
     def test_model_source_among_lattices(self, trained):
         rng = np.random.default_rng(1303)
@@ -673,15 +673,36 @@ class TestDecodeBatches:
         real = fusion_mod.beam_search_fusion
         monkeypatch.setattr(fusion_mod, "beam_search_fusion",
                             lambda jobs, lm: searches.append(jobs) or real(jobs, lm))
-        alone = decode_utterances(tmp_path, ckpt, [cfg], vocab)
+        lm = CheckpointLmScorer(ckpt)
+        alone = decode_utterances(tmp_path, lm, [cfg], vocab)
         for budget, want in ((cost["c"] - 1, [["a", "b"], ["c"], ["d", "e", "f"]]),
                              (cost["a"] + cost["b"], [["a", "b"], ["c"], ["d"], ["e"], ["f"]])):
             monkeypatch.setattr(fusion_mod, "DECODE_BATCH_BYTES", budget)
             searches.clear()
-            assert decode_utterances(tmp_path, ckpt, [cfg], vocab) == alone
+            assert decode_utterances(tmp_path, lm, [cfg], vocab) == alone
             batches = [[name_of[s.max_steps] for s, _ in jobs] for jobs in searches]
             assert batches == want
             assert all(sum(cost[n] for n in b) <= budget for b in batches if len(b) > 1)
+
+
+def test_default_batches_stay_under_the_row_invariance_bound(synth_pipeline, monkeypatch):
+    """Lockstep decodes equal lone searches bit for bit only while every LM
+    product stays under about 1e6 multiply-adds (ROADMAP item 14): with
+    OpenBLAS, head rows at d=32, V=221 differ from 142 rows on. At the
+    default DECODE_BATCH_BYTES, a 6-lambda sweep of the synthetic task keeps
+    its largest advance_rows block under that; raising the budget past it
+    fails here until rows are batch-invariant at every count."""
+    blocks = []
+    real_advance = CheckpointLmScorer.advance_rows
+    monkeypatch.setattr(CheckpointLmScorer, "advance_rows",
+                        lambda self, block, parents, tokens: blocks.append(len(tokens))
+                        or real_advance(self, block, parents, tokens))
+    config = synth_pipeline["config"]
+    decode_utterances(synth_pipeline["paths"].lattice_dir,
+                      CheckpointLmScorer(synth_pipeline["checkpoint"]),
+                      [FusionConfig(lam=lam) for lam in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)],
+                      synth_pipeline["vocab"])
+    assert max(blocks) * config.model_dim * config.vocab_size < 1e6
 
 
 def test_batched_decode_makes_one_lm_call_per_step_per_batch(synth_pipeline, monkeypatch):
@@ -697,7 +718,7 @@ def test_batched_decode_makes_one_lm_call_per_step_per_batch(synth_pipeline, mon
     monkeypatch.setattr(CheckpointLmScorer, "advance_rows",
                         lambda self, *a: calls.append(1) or real_advance(self, *a))
     paths = synth_pipeline["paths"]
-    decode_utterances(paths.lattice_dir, synth_pipeline["checkpoint"],
+    decode_utterances(paths.lattice_dir, CheckpointLmScorer(synth_pipeline["checkpoint"]),
                       [FusionConfig(lam=0.3, beam_size=4)], synth_pipeline["vocab"])
     longest = [max(s.max_steps for s in jobs) - 1 for jobs in searches]
     per_utterance = [s.max_steps - 1 for jobs in searches for s in jobs]
@@ -798,7 +819,7 @@ class TestLatticeFiles:
 
     def test_binary_round_trip_close(self, tmp_path):
         frames = random_lattice(10, 5, seed=17)
-        save_lattice(frames, tmp_path / "a.lat", binary=True)
+        save_binary_lattice(frames, tmp_path / "a.lat")
         back = load_lattice(tmp_path / "a.lat")
         assert back.shape == frames.shape
         assert np.abs(back - frames).max() < 1e-6
@@ -806,7 +827,7 @@ class TestLatticeFiles:
     def test_binary_detected_by_magic(self, tmp_path):
         frames = random_lattice(6, 4, seed=18)
         save_lattice(frames, tmp_path / "t.lat")
-        save_lattice(frames, tmp_path / "b.lat", binary=True)
+        save_binary_lattice(frames, tmp_path / "b.lat")
         assert (tmp_path / "b.lat").read_bytes()[:6] == b"latb1\n"
         assert (tmp_path / "t.lat").read_text().startswith("lat1 4 6")
 
@@ -827,7 +848,7 @@ class TestLatticeFiles:
 
     def test_binary_payload_error(self, tmp_path):
         p = tmp_path / "x.lat"
-        save_lattice(random_lattice(6, 4, seed=19), p, binary=True)
+        save_binary_lattice(random_lattice(6, 4, seed=19), p)
         raw = p.read_bytes()
         p.write_bytes(raw[:-4])
         with pytest.raises(ValueError, match="payload"):

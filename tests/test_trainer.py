@@ -85,8 +85,7 @@ class TestDeterminism:
 
 class TestPaddingNeutrality:
     def test_pad_content_cannot_change_loss_or_grads(self):
-        batches, _ = pack_batches(corpus(8, seed=5), max_seq_len=16,
-                                  batch_size=2, shuffle=False)
+        batches, _ = pack_batches(corpus(8, seed=5), max_seq_len=16, batch_size=2)
         batch = batches[0]
         assert (batch.segment_ids == 0).any(), "need padding to perturb"
         params = init_params(CFG, 0)

@@ -55,16 +55,13 @@ class TestAlignment:
         with pytest.raises(ValueError):
             wer("   ", "a b")
 
-    def test_accepts_pretokenized_lists(self):
-        assert wer(["a", "b"], ["a", "c"]).errors == 1
-
     def test_error_total_matches_reference_oracle(self):
         rng = np.random.default_rng(0)
         vocab = [f"w{i}" for i in range(12)]
         for _ in range(2000):
             r = [vocab[i] for i in rng.integers(0, 12, rng.integers(1, 9))]
             h = [vocab[i] for i in rng.integers(0, 12, rng.integers(0, 9))]
-            b = wer(r, h)
+            b = wer(" ".join(r), " ".join(h))
             assert b.errors == levenshtein_reference(r, h)
             # counts must be internally consistent with the lengths
             assert len(h) - len(r) == b.insertions - b.deletions
@@ -78,7 +75,7 @@ class TestMergeAndRates:
         for _ in range(60):
             r = [vocab[i] for i in rng.integers(0, 8, rng.integers(1, 7))]
             h = [vocab[i] for i in rng.integers(0, 8, rng.integers(0, 7))]
-            pairs.append((r, h))
+            pairs.append((" ".join(r), " ".join(h)))
         whole = WerBreakdown()
         for r, h in pairs:
             whole = whole + wer(r, h)
