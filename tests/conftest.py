@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as the benchmark runs: OpenBLAS rounds a product
+# differently as its thread count changes, and the pins hold one rounding.
+# Set before anything imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import sys
 from pathlib import Path
 

@@ -6,13 +6,18 @@ the one that wrote pins.json, so a change meant to keep behaviour fails
 here if it moves a decode or a weight. After a change meant to move them,
 rewrite the file and name what moved and why:
 
-    PYTHONPATH=src python tests/test_pins.py
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python tests/test_pins.py
+
+The pins hold one BLAS rounding: one thread (tests/conftest.py sets it for
+the suite), one OpenBLAS build and one CPU family.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -87,6 +92,8 @@ def test_pipeline_matches_pins(synth_pipeline):
 
 
 if __name__ == "__main__":
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert all(os.environ.get(v) == "1" for v in threads), f"set {threads} to 1"
     with tempfile.TemporaryDirectory() as tmp:
         pins = measure(build_synth_pipeline(Path(tmp)))
     PINS.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pins.items())
