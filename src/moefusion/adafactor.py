@@ -31,9 +31,9 @@ LR_SCHEDULES = ("inverse_sqrt", "constant")
 
 @dataclass(frozen=True)
 class AdafactorHyper:
-    learning_rate: float = 0.05
-    warmup_steps: int = 1000
-    lr_schedule: str = "inverse_sqrt"
+    learning_rate: float
+    warmup_steps: int
+    lr_schedule: str
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:

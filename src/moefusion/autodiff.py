@@ -142,21 +142,22 @@ def sum_(a, axis=None):
     return _node(av.sum(axis=axis), [(a, vjp)])
 
 
-def softmax(a, axis=-1):
-    y = numerics.softmax(value(a), axis=axis)
+def softmax(a):
+    """Along the last axis."""
+    y = numerics.softmax(value(a))
 
     def vjp(g):
-        return y * (g - (g * y).sum(axis=axis, keepdims=True))
+        return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _node(y, [(a, vjp)])
 
 
-def log_softmax(a, axis=-1):
-    """Checked: a non-finite input raises NumericError."""
-    y = numerics.log_softmax(value(a), axis=axis)
+def log_softmax(a):
+    """Along the last axis. Checked: a non-finite input raises NumericError."""
+    y = numerics.log_softmax(value(a))
 
     def vjp(g):
-        return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
+        return g - np.exp(y) * g.sum(axis=-1, keepdims=True)
 
     return _node(y, [(a, vjp)])
 

@@ -34,7 +34,7 @@ class Checkpoint:
 
     config: MoeLmConfig
     tensors: dict[str, np.ndarray]
-    training_step: int = 0
+    training_step: int
 
     def __post_init__(self):
         expected = param_shapes(self.config)

@@ -22,7 +22,7 @@ from .fusion import (
     CheckpointLmScorer, FusionConfig, decode_utterances, read_decodes, write_decodes,
 )
 from .model import MoeLmConfig
-from .synthetic import gen_synthetic
+from .synthetic import ENTITIES, gen_synthetic
 from .tokenizer import Vocab, encode, read_corpus, train_wordpiece
 from .trainer import train
 from .wer import aggregate, emit_report, read_utt_file, report_from_json, wer
@@ -65,6 +65,20 @@ def _resolve(args, key: str, cast, default, file_cfg: dict[str, str]):
         except ValueError as exc:
             raise UsageError(f"config key {key}: {exc}") from exc
     return default
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than low, so a bad value is a usage
+    error naming its flag before anything is written."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -216,8 +230,7 @@ def cmd_evaluate(args) -> int:
                        baseline_name=args.baseline_name)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emit_report(report, out_dir / "report.csv", "csv")
-    emit_report(report, out_dir / "report.json", "json")
+    emit_report(report, out_dir)
     for loc in sorted(report.locales):
         e = report.locales[loc]
         extra = f"  (baseline {e.baseline_wer:.4f}, werr {e.werr:+.2%})" \
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     for key, (typ, _) in _TRAIN_SETTINGS.items():
         flag = "--" + key.replace("_", "-")
         if typ is bool:
@@ -361,9 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="write the synthetic decoding task")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sentences", type=int, default=400)
-    p.add_argument("--eval-utts", type=int, default=30)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    # Each entity must occur in the LM text to become a single piece.
+    p.add_argument("--sentences", type=_at_least(min(map(len, ENTITIES.values()))),
+                   default=400, help="LM sentences per locale")
+    p.add_argument("--eval-utts", type=_at_least(1), default=30)
     p.add_argument("--vocab-size", type=int, default=512)
     p.set_defaults(func=cmd_gen_synthetic)
 

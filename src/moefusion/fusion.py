@@ -44,7 +44,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .errors import NumericError, VocabMismatchError, read_text
 from .model import LmState, initial_state, kv_position_bytes, lm_score_rows, lm_score_step
-from .numerics import logsumexp
+from .numerics import log_softmax
 from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 
 __all__ = [
@@ -131,7 +131,7 @@ class LatticeSource:
                 f"lattice must be (T >= 1, V >= 4), got {frames.shape}"
             )
         frames = _floor(frames)
-        z = logsumexp(frames, axis=1)
+        z = frames.max(1) - log_softmax(frames).max(1)  # each row's logsumexp
         bad = np.flatnonzero(np.abs(z) > _ROW_NORM_TOL)
         if bad.size:
             raise ValueError(f"lattice row {bad[0]} is not normalized: "

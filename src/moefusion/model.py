@@ -244,7 +244,7 @@ def gate_topk(token_repr, gate_weight, k: int) -> GateOutput:
     logits = token_repr @ gate_weight
     check_finite(ad.value(logits), "gate logits")
     sel = np.argsort(-ad.value(logits), axis=-1, kind="stable")[:, :k]
-    weights = ad.softmax(ad.gather_pairs(logits, np.arange(len(sel))[:, None], sel), axis=-1)
+    weights = ad.softmax(ad.gather_pairs(logits, np.arange(len(sel))[:, None], sel))
     return GateOutput(sel, weights, logits)
 
 
@@ -280,7 +280,7 @@ def _attention(q, k, v, bias):
     """softmax(q k^T / sqrt(dh) + bias) v over (B, H, Tq, dh) queries and
     (B, H, Tk, dh) keys and values; Vars or arrays."""
     scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(q.shape[-1]))
-    return ad.matmul(ad.softmax(ad.add(scores, bias), axis=-1), v)
+    return ad.matmul(ad.softmax(ad.add(scores, bias)), v)
 
 
 def _ffn(x, p: FfnParams):
@@ -304,7 +304,7 @@ def _output_head(x, params, config: MoeLmConfig):
         # it does not, as lm_score_rows needs, but only below about 1e6
         # multiply-adds: from 142 rows at d=32, V=221 (ROADMAP item 14).
         w = np.ascontiguousarray(w)
-    return ad.log_softmax(x @ w, axis=-1)
+    return ad.log_softmax(x @ w)
 
 
 def _mixture(flat, gate_weight, expert, k: int):
@@ -403,7 +403,7 @@ def build_forward(
         # exactly 1.0 under perfectly uniform routing.
         terms = []
         for gate, count in zip(gates, counts):
-            probs = ad.softmax(gate.all_gate_logits, axis=-1)
+            probs = ad.softmax(gate.all_gate_logits)
             masked = ad.mul(probs, live[:, None].astype(np.float64))
             importance = ad.mul(ad.sum_(masked, axis=0), 1.0 / denom)
             terms.append(ad.mul(ad.sum_(ad.mul(importance, count / denom)), e / k))

@@ -16,7 +16,6 @@ __all__ = [
     "check_finite",
     "softmax",
     "log_softmax",
-    "logsumexp",
 ]
 
 
@@ -29,38 +28,27 @@ def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def logsumexp(v: np.ndarray, axis: int) -> np.ndarray:
-    """Stable log(sum(exp(v))) along axis."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("logsumexp of an empty array is undefined")
-    check_finite(v, "logsumexp input")
-    m = np.max(v, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(v - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along axis, computed with max subtraction.
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, computed with max subtraction.
 
     The one kernel here without a finiteness check: on the short attention and
     routing rows of a decode step the scan would double its cost. Gate logits
     are checked where formed; attention NaNs reach the checked LM log_softmax.
     """
-    m = x.max(axis=axis, keepdims=True)
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Log of softmax along axis, computed with max subtraction.
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log of softmax along the last axis, computed with max subtraction.
 
-    exp of the result sums to 1 along axis to within float64 rounding even for
-    inputs with magnitude ~1e3.
+    exp of the result sums to 1 along the last axis to within float64
+    rounding even for inputs with magnitude ~1e3.
     """
     x = np.asarray(logits, dtype=np.float64)
-    if x.size == 0 or x.shape[axis] == 0:
+    if x.size == 0:
         raise ValueError("log_softmax of an empty axis is undefined")
     check_finite(x, "log_softmax input")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -49,8 +49,8 @@ def pack_batches(
     sentences: Sequence[TokenSeq | Sequence[int]],
     max_seq_len: int,
     batch_size: int,
-    packing_factor: int = 4,
-    seed: int = 0,
+    packing_factor: int,
+    seed: int,
 ) -> tuple[list[PackedBatch], PackStats]:
     """Pack sentences into batches of (batch_size, max_seq_len) rows.
 

@@ -105,10 +105,10 @@ def _build_lattice(
 
 def gen_synthetic(
     out_dir: str | Path,
-    seed: int = 0,
-    sentences_per_locale: int = 400,
-    eval_per_locale: int = 30,
-    vocab_size: int = 512,
+    seed: int,
+    sentences_per_locale: int,
+    eval_per_locale: int,
+    vocab_size: int,
 ) -> SynthPaths:
     """Write corpora, manifests, vocab, references and lattices under out_dir.
     A *.lat in out_dir/lattices that this run would not write raises first."""

@@ -42,7 +42,6 @@ class StepRecord:
 @dataclass
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
-    expert_fractions: list[np.ndarray] = field(default_factory=list)
     stopped_early: bool = False
 
     @property
@@ -84,7 +83,6 @@ def batch_loss(
     extras = {
         "ce": float(ce.value),
         "aux": 0.0,
-        "expert_counts": result.expert_counts,
         "target_tokens": denom,
     }
     loss = ce
@@ -109,15 +107,15 @@ def train(
     hyper: AdafactorHyper,
     steps: int,
     seed: int,
-    batch_size: int = 8,
-    packing_factor: int = 4,
-    checkpoint_dir=None,
+    batch_size: int,
+    packing_factor: int,
+    checkpoint_dir,
 ) -> tuple[Checkpoint, TrainLog]:
     """Train from init_params(config, seed) for up to `steps` optimizer steps.
 
     Fully deterministic for fixed inputs and seed. The final checkpoint goes
-    to checkpoint_dir if given. Raises NumericError naming the step if the
-    loss or a gradient goes non-finite.
+    to checkpoint_dir. Raises NumericError naming the step if the loss or a
+    gradient goes non-finite.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -170,16 +168,11 @@ def train(
             aux_loss=extras["aux"],
             tokens_per_sec=extras["target_tokens"] / max(dt, 1e-9),
         ))
-        counts = extras["expert_counts"]
-        if counts:
-            total = np.stack(counts).sum(axis=0)
-            log.expert_fractions.append(total / max(total.sum(), 1))
 
         if _plateaued(log.losses):
             log.stopped_early = True
             break
 
     ckpt = Checkpoint(config=config, tensors=params, training_step=step)
-    if checkpoint_dir is not None:
-        save_checkpoint(ckpt, checkpoint_dir)
+    save_checkpoint(ckpt, checkpoint_dir)
     return ckpt, log

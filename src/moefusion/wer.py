@@ -171,50 +171,46 @@ def aggregate(
     return report
 
 
-def emit_report(report: LangReport, path: str | Path, fmt: str) -> None:
-    """Write the report as CSV (one locale per row) or JSON (round-trips)."""
-    path = Path(path)
-    if fmt == "csv":
-        rows = [["locale", "wer", "baseline_wer", "werr"]]
-        for loc in sorted(report.locales):
-            e = report.locales[loc]
-            base = f"{e.baseline_wer:.17g}" if e.baseline_wer is not None else ""
-            rel = f"{e.werr:.17g}" if e.werr is not None else ""
-            rows.append([loc, f"{e.wer:.17g}", base, rel])
-        rows.append(["macro_avg", f"{report.macro_avg_wer:.17g}", "", ""])
-        rows.append(["micro_avg", f"{report.micro_avg_wer:.17g}", "", ""])
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        return
-    if fmt == "json":
-        doc = {
-            "macro_avg_wer": report.macro_avg_wer,
-            "micro_avg_wer": report.micro_avg_wer,
-            "improved": report.improved,
-            "tied": report.tied,
-            "regressed": report.regressed,
-            "baseline_name": report.baseline_name,
-            "locales": {
-                loc: {
-                    "substitutions": e.breakdown.substitutions,
-                    "deletions": e.breakdown.deletions,
-                    "insertions": e.breakdown.insertions,
-                    "ref_words": e.breakdown.ref_words,
-                    "wer": e.wer,
-                    "baseline_wer": e.baseline_wer,
-                    "werr": e.werr,
-                }
-                for loc, e in sorted(report.locales.items())
-            },
-        }
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return
-    raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(report: LangReport, out_dir: str | Path) -> None:
+    """Write the report into out_dir as report.csv (one locale per row) and
+    report.json (round-trips through report_from_json)."""
+    out_dir = Path(out_dir)
+    rows = [["locale", "wer", "baseline_wer", "werr"]]
+    for loc in sorted(report.locales):
+        e = report.locales[loc]
+        base = f"{e.baseline_wer:.17g}" if e.baseline_wer is not None else ""
+        rel = f"{e.werr:.17g}" if e.werr is not None else ""
+        rows.append([loc, f"{e.wer:.17g}", base, rel])
+    rows.append(["macro_avg", f"{report.macro_avg_wer:.17g}", "", ""])
+    rows.append(["micro_avg", f"{report.micro_avg_wer:.17g}", "", ""])
+    with open(out_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    doc = {
+        "macro_avg_wer": report.macro_avg_wer,
+        "micro_avg_wer": report.micro_avg_wer,
+        "improved": report.improved,
+        "tied": report.tied,
+        "regressed": report.regressed,
+        "baseline_name": report.baseline_name,
+        "locales": {
+            loc: {
+                "substitutions": e.breakdown.substitutions,
+                "deletions": e.breakdown.deletions,
+                "insertions": e.breakdown.insertions,
+                "ref_words": e.breakdown.ref_words,
+                "wer": e.wer,
+                "baseline_wer": e.baseline_wer,
+                "werr": e.werr,
+            }
+            for loc, e in sorted(report.locales.items())
+        },
+    }
+    (out_dir / "report.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                                         encoding="utf-8")
 
 
 def report_from_json(path: str | Path) -> LangReport:
-    """Read emit_report's JSON; a malformed report raises ValueError naming
+    """Read emit_report's report.json; a malformed report raises ValueError naming
     the path and the first field at fault."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

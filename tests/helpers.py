@@ -22,8 +22,10 @@ from moefusion.trainer import train
 
 
 def build_synth_pipeline(root: Path) -> dict:
-    """The generated task at seed 0 under root, plus an LM trained on it."""
-    paths = gen_synthetic(root, seed=0)
+    """The generated task at seed 0 under root, plus an LM trained on it and
+    saved to root/lm, each with the CLI's default settings."""
+    paths = gen_synthetic(root, seed=0, sentences_per_locale=400, eval_per_locale=30,
+                          vocab_size=512)
     vocab = Vocab.load(paths.vocab)
     sentences = [encode(text, vocab) for _, text in read_corpus(paths.lm_manifest)]
     config = MoeLmConfig(
@@ -31,13 +33,15 @@ def build_synth_pipeline(root: Path) -> dict:
         num_experts=4, experts_per_token=2, vocab_size=vocab.size,
         max_seq_len=64,
     )
-    hyper = AdafactorHyper(learning_rate=0.05, warmup_steps=50)
-    ckpt, log = train(sentences, config, hyper, steps=300, seed=0, batch_size=8)
+    hyper = AdafactorHyper(learning_rate=0.05, warmup_steps=50, lr_schedule="inverse_sqrt")
+    ckpt, log = train(sentences, config, hyper, steps=300, seed=0, batch_size=8,
+                      packing_factor=4, checkpoint_dir=root / "lm")
     return {
         "paths": paths,
         "vocab": vocab,
         "config": config,
         "checkpoint": ckpt,
+        "lm_dir": root / "lm",
         "train_log": log,
     }
 
@@ -178,8 +182,7 @@ class TableLm:
     @classmethod
     def random(cls, vocab_size: int, n_states: int, seed: int, scale: float = 1.5):
         rng = np.random.default_rng([seed, 0x7AB1])
-        return cls(log_softmax(rng.standard_normal((n_states, vocab_size)) * scale,
-                               axis=-1))
+        return cls(log_softmax(rng.standard_normal((n_states, vocab_size)) * scale))
 
     def start_rows(self):
         return np.zeros(1, dtype=np.int64), self.rows[0]
@@ -297,7 +300,7 @@ def save_binary_lattice(frames, path) -> None:
 
 def random_lattice(vocab_size: int, n_rows: int, seed: int, scale: float = 2.0):
     rng = np.random.default_rng([seed, 0x1A7])
-    return log_softmax(rng.standard_normal((n_rows, vocab_size)) * scale, axis=-1)
+    return log_softmax(rng.standard_normal((n_rows, vocab_size)) * scale)
 
 
 def reference_select(flat, beam_size):
@@ -316,7 +319,7 @@ def dense_mixture(flat, gate_weight, expert, k):
     if k != e:
         raise ConfigError("dense mixture requires experts_per_token == num_experts")
     gate = gate_topk(flat, gate_weight, k)
-    probs, out = ad.softmax(gate.all_gate_logits, axis=-1), None
+    probs, out = ad.softmax(gate.all_gate_logits), None
     for idx in range(e):
         col = ad.gather_pairs(probs, np.arange(n)[:, None], np.full((n, 1), idx))
         term = ad.mul(_ffn(flat, expert(idx)), col)

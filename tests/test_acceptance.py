@@ -76,7 +76,7 @@ def test_criterion_02_compute_parity(capsys):
             f"({elapsed:.3f}s)")
 
 
-def test_criterion_03_sparse_dense_equivalence(capsys, monkeypatch):
+def test_criterion_03_sparse_dense_equivalence(capsys, monkeypatch, tmp_path):
     d, f = 16, 64
     rng = np.random.default_rng(30)
     experts = [
@@ -100,11 +100,13 @@ def test_criterion_03_sparse_dense_equivalence(capsys, monkeypatch):
                       max_seq_len=16)
     data = [list(rng.integers(4, 12, size=rng.integers(3, 8)))
             for _ in range(40)]
-    hyper = AdafactorHyper(learning_rate=0.05, warmup_steps=10)
-    _, log_s = train(data, cfg, hyper, steps=20, seed=0, batch_size=4)
+    hyper = AdafactorHyper(learning_rate=0.05, warmup_steps=10, lr_schedule="inverse_sqrt")
+    _, log_s = train(data, cfg, hyper, steps=20, seed=0, batch_size=4, packing_factor=4,
+                     checkpoint_dir=tmp_path / "sparse")
     # The dense run swaps the reference in for the model's own mixture.
     monkeypatch.setattr(model_mod, "_mixture", dense_mixture)
-    _, log_d = train(data, cfg, hyper, steps=20, seed=0, batch_size=4)
+    _, log_d = train(data, cfg, hyper, steps=20, seed=0, batch_size=4, packing_factor=4,
+                     checkpoint_dir=tmp_path / "dense")
     step_gap = max(abs(a - b) for a, b in zip(log_s.losses, log_d.losses))
 
     ok = layer_gap <= 1e-6 and step_gap <= 1e-5 and len(log_s.losses) == 20
@@ -190,7 +192,7 @@ def test_criterion_06_full_model_gradients(capsys):
     rng = np.random.default_rng(60)
     sentence = list(rng.integers(4, 32, size=rng.integers(3, 7)))
     # One sentence of 3-6 tokens, padded out to a row of 8.
-    (batch,), _ = pack_batches([sentence], max_seq_len=8, batch_size=1)
+    (batch,), _ = pack_batches([sentence], max_seq_len=8, batch_size=1, packing_factor=4, seed=0)
     params = init_params(cfg, 0)
 
     def loss_fn(p):

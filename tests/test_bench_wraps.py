@@ -64,7 +64,7 @@ def test_a_training_step_calls_every_traced_autodiff_op(monkeypatch):
                          max_seq_len=16)
     rng = np.random.default_rng(0)
     sentences = [list(rng.integers(4, 32, size=6)) for _ in range(8)]
-    batches, _ = pack_batches(sentences, max_seq_len=16, batch_size=2)
+    batches, _ = pack_batches(sentences, max_seq_len=16, batch_size=2, packing_factor=4, seed=0)
     params = {n: autodiff.Var(v) for n, v in init_params(config, 0).items()}
     loss, _ = batch_loss(params, batches[0], config)
     autodiff.backward(loss)

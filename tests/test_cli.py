@@ -11,18 +11,15 @@ import moefusion.fusion as fusion_mod
 import moefusion.model as model_mod
 import moefusion.wer as wer_mod
 from helpers import save_binary_lattice
-from moefusion.checkpoint import save_checkpoint
 from moefusion.cli import main
 from moefusion.errors import read_text
 from moefusion.fusion import read_decodes, save_lattice
 from moefusion.wer import report_from_json
 
 
-@pytest.fixture(scope="module")
-def lm_dir(tmp_path_factory, synth_pipeline):
-    d = tmp_path_factory.mktemp("lm")
-    save_checkpoint(synth_pipeline["checkpoint"], d)
-    return d
+@pytest.fixture
+def lm_dir(synth_pipeline):
+    return synth_pipeline["lm_dir"]
 
 
 def normalized(x):
@@ -119,6 +116,32 @@ class TestTokenizerCommand:
 
 
 class TestTrainCommand:
+    def test_seeded_runs_write_the_same_files(self, tmp_path, synth_pipeline, capsys):
+        """Two seed-0 runs write the same checkpoint bytes and the same
+        train_log.csv but for its wall-clock tokens_per_sec column."""
+        paths = synth_pipeline["paths"]
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["train-lm", "--manifest", str(paths.lm_manifest),
+                         "--vocab", str(paths.vocab), "--output-dir", str(out),
+                         "--dim", "16", "--head-dim", "8", "--max-seq-len", "32",
+                         "--steps", "4", "--warmup", "2", "--batch-size", "4"]) == 0
+        a, b = ({f.name: f.read_bytes() for f in out.iterdir()} for out in runs)
+        logs = [list(csv.reader(files.pop("train_log.csv").decode().splitlines()))
+                for files in (a, b)]
+        assert a == b and set(a) == {"manifest.json", "weights.bin"}
+        assert logs[0][0][-1] == "tokens_per_sec" and len(logs[0]) == 5
+        assert [row[:-1] for row in logs[0]] == [row[:-1] for row in logs[1]]
+
+    def test_negative_seed_is_usage_error(self, tmp_path, synth_pipeline, capsys):
+        paths = synth_pipeline["paths"]
+        out = tmp_path / "run"
+        assert main(["train-lm", "--manifest", str(paths.lm_manifest),
+                     "--vocab", str(paths.vocab), "--output-dir", str(out),
+                     "--seed", "-3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_run_writes_artifacts(self, tmp_path, synth_pipeline,
                                        capsys):
         paths = synth_pipeline["paths"]
@@ -725,6 +748,17 @@ class TestSweepCommand:
 
 
 class TestGenSyntheticCommand:
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--eval-utts", "-2"), ("--eval-utts", "0"),
+        ("--sentences", "0"), ("--sentences", "7"), ("--sentences", "x"),
+    ])
+    def test_bad_count_is_usage_error_before_writing(self, flag, value, tmp_path, capsys):
+        """--sentences must give each of the 8 entities of a locale a sentence."""
+        assert main(["gen-synthetic", "--output-dir", str(tmp_path / "task"),
+                     flag, value]) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "task").exists()
+
     def test_writes_tree(self, tmp_path, capsys):
         rc = main(["gen-synthetic", "--output-dir", str(tmp_path / "task"),
                    "--sentences", "40", "--eval-utts", "4",

@@ -2,7 +2,7 @@
 imports is used in it, each submodule attribute of the package is its
 module, every top-level definition is reachable from the program or the
 benchmark, and every parameter with a default is passed by one of their
-calls."""
+calls and left out by another."""
 
 import ast
 import importlib
@@ -215,17 +215,32 @@ def _passes(call: ast.Call, skip: int, position: int | None, name: str) -> bool:
     return len(given) + skip > position or len(given) < len(call.args)  # or *args
 
 
-def test_every_parameter_is_passed():
-    """A parameter with a default that no call in the program or the
-    benchmark passes has one value in use; its other values serve only
-    tests."""
+def _defaulted_params():
+    """("module.function.param", whether each call of that function in the
+    program or the benchmark passes it) for every parameter with a default
+    in src/moefusion."""
     src = sorted(Path(moefusion.__file__).parent.glob("*.py"))
     calls: dict[str, list[ast.Call]] = {}
     for name, call in _calls(src + [BENCH / "run.py", BENCH / "worker.py",
                                     BENCH / "test_checks.py"]):
         calls.setdefault(name, []).append(call)
-    unpassed = [f"{where}.{param}"
-                for path in src for where, name, skip, fn in _defs(path)
-                for position, param in _defaulted(fn)
-                if not any(_passes(c, skip, position, param) for c in calls.get(name, []))]
+    for path in src:
+        for where, name, skip, fn in _defs(path):
+            for position, param in _defaulted(fn):
+                yield f"{where}.{param}", [_passes(c, skip, position, param)
+                                           for c in calls.get(name, [])]
+
+
+def test_every_parameter_is_passed():
+    """A parameter with a default that no call in the program or the
+    benchmark passes has one value in use; its other values serve only
+    tests."""
+    unpassed = [p for p, passed in _defaulted_params() if not any(passed)]
     assert not unpassed, f"parameters that only tests pass: {sorted(unpassed)}"
+
+
+def test_every_default_is_taken():
+    """A default that every call in the program and the benchmark overrides
+    states a value a second time; only tests take it."""
+    untaken = [p for p, passed in _defaulted_params() if all(passed)]
+    assert not untaken, f"defaults that only tests take: {sorted(untaken)}"

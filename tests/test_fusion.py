@@ -86,10 +86,10 @@ class TestLatticeSource:
             src.rows([()], -1)
 
     def test_floor_applied(self):
-        from moefusion.numerics import logsumexp
+        from moefusion.numerics import log_softmax
         frames = random_lattice(8, 2, seed=4)
         frames[0, 5] = -1e12  # deep but legal once floored
-        frames[0] -= logsumexp(frames[0], axis=0)
+        frames[0] = log_softmax(frames[0])
         src = LatticeSource(frames)
         assert src.rows([()], 0)[0, 5] == -1e9
 
@@ -318,7 +318,7 @@ class TestNanGuards:
 
 
 @pytest.fixture(scope="module")
-def trained():
+def trained(tmp_path_factory):
     cfg = MoeLmConfig(num_layers=2, model_dim=16, num_heads=2, head_dim=8,
                       num_experts=4, experts_per_token=2, vocab_size=8,
                       max_seq_len=12)
@@ -326,8 +326,9 @@ def trained():
     data = [list(rng.integers(4, 8, size=rng.integers(2, 6)))
             for _ in range(40)]
     ckpt, _ = train(data, cfg,
-                    AdafactorHyper(learning_rate=0.05, warmup_steps=5),
-                    steps=10, seed=0, batch_size=4)
+                    AdafactorHyper(learning_rate=0.05, warmup_steps=5, lr_schedule="inverse_sqrt"),
+                    steps=10, seed=0, batch_size=4, packing_factor=4,
+                    checkpoint_dir=tmp_path_factory.mktemp("lm"))
     return ckpt
 
 

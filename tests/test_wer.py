@@ -133,10 +133,9 @@ class TestAggregate:
         assert (rep.improved, rep.tied, rep.regressed) == (1, 0, 1)
         perfect = aggregate({"loc-a": [WerBreakdown(0, 0, 0, 10)]}, baseline={"loc-a": 0.0})
         assert perfect.locales["loc-a"].werr is None and perfect.tied == 1
-        emit_report(rep, tmp_path / "r.csv", "csv")
-        emit_report(rep, tmp_path / "r.json", "json")
-        assert "loc-a,0.10000000000000001,0," in (tmp_path / "r.csv").read_text()
-        assert report_from_json(tmp_path / "r.json").locales["loc-a"].werr is None
+        emit_report(rep, tmp_path)
+        assert "loc-a,0.10000000000000001,0," in (tmp_path / "report.csv").read_text()
+        assert report_from_json(tmp_path / "report.json").locales["loc-a"].werr is None
 
     def test_missing_baseline_locale(self):
         with pytest.raises(ValueError, match="loc-b"):
@@ -166,8 +165,8 @@ class TestReports:
         )
 
     def test_csv_layout(self, tmp_path):
-        emit_report(self.make_report(), tmp_path / "r.csv", "csv")
-        lines = (tmp_path / "r.csv").read_text().strip().split("\n")
+        emit_report(self.make_report(), tmp_path)
+        lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert lines[0] == "locale,wer,baseline_wer,werr"
         rows = [ln.split(",") for ln in lines[1:]]
         assert [r[0] for r in rows] == ["loc-a", "loc-b", "macro_avg",
@@ -180,8 +179,8 @@ class TestReports:
 
     def test_json_round_trip(self, tmp_path):
         rep = self.make_report()
-        emit_report(rep, tmp_path / "r.json", "json")
-        back = report_from_json(tmp_path / "r.json")
+        emit_report(rep, tmp_path)
+        back = report_from_json(tmp_path / "report.json")
         assert isinstance(back, LangReport)
         assert back.macro_avg_wer == rep.macro_avg_wer
         assert back.micro_avg_wer == rep.micro_avg_wer
@@ -192,15 +191,11 @@ class TestReports:
         assert back.baseline_name == "no-lm"
 
     def test_undecodable_report_names_the_file(self, tmp_path):
-        emit_report(self.make_report(), tmp_path / "r.json", "json")
-        path = tmp_path / "r.json"
+        emit_report(self.make_report(), tmp_path)
+        path = tmp_path / "report.json"
         path.write_bytes(path.read_bytes().replace(b"no-lm", b"no-\xff"))
-        with pytest.raises(ValueError, match=r"r\.json: not JSON"):
+        with pytest.raises(ValueError, match=r"report\.json: not JSON"):
             report_from_json(path)
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(self.make_report(), tmp_path / "r.xml", "xml")
 
 
 class TestUttFile:
