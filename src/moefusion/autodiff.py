@@ -8,11 +8,11 @@ training graph on Vars and a plain numpy computation on arrays. Var supports
 `+` and `@` (either side may be an ndarray); every other op is a function.
 The op set is exactly what the language model forward pass and its loss
 need: elementwise add and mul; matmul, reshape, swapaxes and sum_;
-softmax, log_softmax, gelu and layer_norm; ffn, the two-layer GELU FFN as
-one op; and the indexing ops take_rows, gather_pairs, concat_rows and
-scatter_add_rows, which route tokens to experts and back. Each
-vector-Jacobian product is hand-written and covered by finite-difference
-tests.
+softmax, log_softmax, gelu and layer_norm; ffn, the two-layer GELU FFN,
+and attention, scaled dot-product attention, each as one op; and the
+indexing ops take_rows, gather_pairs, concat_rows and scatter_add_rows,
+which route tokens to experts and back. Each vector-Jacobian product is
+hand-written and covered by finite-difference tests.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "add", "mul",
     "matmul", "reshape", "swapaxes",
     "sum_",
-    "softmax", "log_softmax", "gelu", "layer_norm", "ffn",
+    "softmax", "log_softmax", "gelu", "layer_norm", "ffn", "attention",
     "take_rows", "gather_pairs", "concat_rows", "scatter_add_rows",
     "backward",
 ]
@@ -217,6 +217,34 @@ def ffn(x, w1, b1, w2, b2):
         (b1, lambda g: recomputed(g)[1].sum(axis=0)),
         (w2, lambda g: np.matmul(recomputed(g)[0].T, g)),
         (b2, lambda g: g.sum(axis=0)),
+    ])
+
+
+def attention(q, k, v, bias):
+    """softmax(q k^T / sqrt(dh) + bias) v over (B, H, Tq, dh) queries and
+    (B, H, Tk, dh) keys and values, as one op; bias is a constant.
+
+    The node keeps only q, k, v and the probabilities p. The first vjp to
+    run computes the scaled scores' cotangent, p * (gp - sum(gp * p)) *
+    scale with gp = g v^T, which the vjps of q and k share. Forward and
+    vjps run the numpy calls of the matmul, mul, add and softmax nodes they
+    replace, in their order, so the results are theirs bit for bit.
+    """
+    qv, kv, vv = value(q), value(k), value(v)
+    scale = 1.0 / np.sqrt(qv.shape[-1])
+    p = numerics.softmax(np.matmul(qv, np.swapaxes(kv, 2, 3)) * scale + bias)
+    saved = []
+
+    def scores_grad(g):
+        if not saved:
+            gp = np.matmul(g, np.swapaxes(vv, -1, -2))
+            saved.append(p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale)
+        return saved[0]
+
+    return _node(np.matmul(p, vv), [
+        (q, lambda g: np.matmul(scores_grad(g), kv)),
+        (k, lambda g: np.swapaxes(np.matmul(np.swapaxes(qv, -1, -2), scores_grad(g)), 2, 3)),
+        (v, lambda g: np.matmul(np.swapaxes(p, -1, -2), g)),
     ])
 
 

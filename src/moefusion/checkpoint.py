@@ -69,21 +69,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write manifest.json and weights.bin into directory `path`."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    names = sorted(ckpt.tensors)
     entries = {}
     offset = 0
-    blobs = []
-    for name in names:
-        arr = np.ascontiguousarray(ckpt.tensors[name])
-        code = _dtype_code(arr)
-        raw = arr.astype(_DTYPES[code]).tobytes()
-        entries[name] = {
-            "shape": list(arr.shape),
-            "dtype": code,
-            "offset": offset,
-        }
-        offset += len(raw)
-        blobs.append(raw)
+    # Tensor by tensor from their own buffers, so the weights are never
+    # copied into one bytes object.
+    with open(path / "weights.bin", "wb") as fh:
+        for name in sorted(ckpt.tensors):
+            code = _dtype_code(ckpt.tensors[name])
+            arr = np.ascontiguousarray(ckpt.tensors[name], dtype=_DTYPES[code])
+            entries[name] = {
+                "shape": list(arr.shape),
+                "dtype": code,
+                "offset": offset,
+            }
+            fh.write(arr)
+            offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
         "training_step": ckpt.training_step,
@@ -94,7 +94,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     (path / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (path / "weights.bin").write_bytes(b"".join(blobs))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

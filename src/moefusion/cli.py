@@ -125,6 +125,9 @@ def cmd_train_lm(args) -> int:
     unknown = sorted(set(file_cfg) - set(_TRAIN_SETTINGS))
     if unknown:
         raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+    for key in ("steps", "batch_size", "packing_factor"):
+        if val[key] < 1:
+            raise UsageError(f"{key} (--{key.replace('_', '-')}) must be >= 1, got {val[key]}")
     config = MoeLmConfig(
         vocab_size=vocab.size, aux_loss_weight=val["aux_loss_weight"],
         tied_embeddings=not val["untied"],

@@ -6,8 +6,9 @@ FFNs. Attention is pre-norm multi-head with sinusoidal positions and a causal
 mask; embeddings are tied to the output projection by default.
 
 One layer stack, _layers, runs training and decoding over flat (N, d) token
-rows, and its attention is one kernel, _attention; the callers differ only
-in how attention finds its keys and values:
+rows, and its attention is one kernel, the autodiff op ad.attention (one
+graph node in training); the callers differ only in how attention finds its
+keys and values:
   * build_forward: the batched differentiable graph (training and full
     scoring) attends within each row of a (B, T) batch under a causal,
     segment-isolating mask,
@@ -276,13 +277,6 @@ def _attention_bias(segment_ids: np.ndarray) -> np.ndarray:
     return bias[:, None, :, :]
 
 
-def _attention(q, k, v, bias):
-    """softmax(q k^T / sqrt(dh) + bias) v over (B, H, Tq, dh) queries and
-    (B, H, Tk, dh) keys and values; Vars or arrays."""
-    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(q.shape[-1]))
-    return ad.matmul(ad.softmax(ad.add(scores, bias)), v)
-
-
 def _ffn(x, p: FfnParams):
     """Two-layer GELU FFN over the last axis; x and p may be Vars or arrays.
     A one-row array runs as two equal rows, as lm_score_rows explains."""
@@ -385,7 +379,7 @@ def build_forward(
 
     def attend(i, q, k, v):
         heads = (ad.swapaxes(ad.reshape(a, (b, t, h, dh)), 1, 2) for a in (q, k, v))
-        return ad.reshape(ad.swapaxes(_attention(*heads, bias), 1, 2), (b * t, d))
+        return ad.reshape(ad.swapaxes(ad.attention(*heads, bias), 1, 2), (b * t, d))
 
     pe = positional_table(config.max_seq_len, d)
     x = ad.take_rows(params["embed.weight"], token_ids.ravel()) + pe[pos.ravel()]
@@ -464,7 +458,7 @@ def lm_score_rows(params: Mapping[str, np.ndarray], config: MoeLmConfig, block: 
     def attend(i, q, k, v):
         for cache, old, x in ((new.keys, block.keys, k), (new.values, block.values, v)):
             cache.append(np.concatenate([old[i][parents], x[:r].reshape(r, h, 1, dh)], axis=2))
-        ctx = _attention(q[:r].reshape(r, h, 1, dh), new.keys[i], new.values[i], 0.0)
+        ctx = ad.attention(q[:r].reshape(r, h, 1, dh), new.keys[i], new.values[i], 0.0)
         return ctx.reshape(r, config.model_dim)[pad]
 
     pe = positional_table(config.max_seq_len, config.model_dim)

@@ -159,6 +159,14 @@ def train(
             params, state = adafactor_step(params, grads, step, hyper, state)
         except NumericError as exc:
             raise NumericError(f"training diverged at step {step}: {exc}") from exc
+        # The gradients and the old weights die with the step. The graph's
+        # activations die when the next step rebinds `loss`, after its
+        # forward pass: freed sooner, they empty the top of the heap, glibc
+        # returns it to the OS and the next step faults it back in, which
+        # at d=32 costs more time than the memory is worth (ROADMAP item 11).
+        del grads
+        for v in var_params.values():
+            v.grad = v.value = None
         dt = time.perf_counter() - t0
 
         log.steps.append(StepRecord(

@@ -311,6 +311,14 @@ def reference_select(flat, beam_size):
     return np.sort(finite[order[:beam_size]])
 
 
+def composed_attention(q, k, v, bias):
+    """The reference ad.attention is tested against: the chain of autodiff
+    nodes it replaced, softmax(q k^T / sqrt(dh) + bias) v as a swapaxes, a
+    matmul, a mul, an add, a softmax and a matmul."""
+    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), 1.0 / np.sqrt(q.shape[-1]))
+    return ad.matmul(ad.softmax(ad.add(scores, bias)), v)
+
+
 def dense_mixture(flat, gate_weight, expert, k):
     """The reference model._mixture is tested against, and a drop-in for it:
     every expert runs on every token, mixed by the full gate softmax. That

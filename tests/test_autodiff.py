@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import fd_check, record_var_inits
+from helpers import composed_attention, fd_check, record_var_inits
 from moefusion import autodiff as ad
+from moefusion.model import ATTN_MASK_VALUE, _attention_bias
 
 
 def rnd(*shape, seed=0):
@@ -93,6 +94,44 @@ def test_ffn_equals_the_ops_it_fuses_bit_for_bit():
         ad.backward(ad.sum_(ad.mul(op(**vars_), rnd(6, 3, seed=26))))
         grads.append([v.grad for v in vars_.values()])
     assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+# (queries, keys, bias) of the two attention shapes the model runs: a packed
+# training batch under its causal, segment-isolating mask (a padded tail
+# included), and a decode step's one query over a row's cached keys.
+ATTENTION_CASES = {
+    "train": (6, 6, _attention_bias(np.array([[1, 1, 1, 2, 2, 0], [1, 1, 1, 1, 1, 1]]))),
+    "decode": (1, 5, 0.0),
+}
+
+
+def attention_inputs(case):
+    # A head width of 5 makes the 1/sqrt(dh) scale inexact, so the order of
+    # the multiplies shows in the bits.
+    tq, tk, _ = ATTENTION_CASES[case]
+    return {"q": rnd(2, 3, tq, 5, seed=40), "k": rnd(2, 3, tk, 5, seed=41),
+            "v": rnd(2, 3, tk, 5, seed=42)}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention(case):
+    bias = ATTENTION_CASES[case][2]
+    assert case == "decode" or (bias == ATTN_MASK_VALUE).any()
+    fd_check(lambda v: ad.attention(v["q"], v["k"], v["v"], bias), attention_inputs(case))
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention_equals_the_ops_it_fuses_bit_for_bit(case):
+    inputs, bias = attention_inputs(case), ATTENTION_CASES[case][2]
+    outs, grads = [], []
+    for op in (ad.attention, composed_attention):
+        outs.append(op(*inputs.values(), bias).tobytes())
+        vars_ = {n: ad.Var(v) for n, v in inputs.items()}
+        out = op(*vars_.values(), bias)
+        ad.backward(ad.sum_(ad.mul(out, rnd(*out.shape, seed=43))))
+        grads.append([v.grad.tobytes() for v in vars_.values()])
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
 
 
 def test_layer_norm_broadcast_gain_and_bias():

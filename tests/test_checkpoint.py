@@ -51,6 +51,19 @@ class TestRoundTrip:
         assert (tmp_path / "a" / "manifest.json").read_bytes() == \
             (tmp_path / "b" / "manifest.json").read_bytes()
 
+    def test_weights_bin_is_the_tensors_joined_in_name_order(self, tiny_config, tmp_path):
+        tensors = init_params(tiny_config, 0)
+        for name in sorted(tensors)[::3]:
+            tensors[name] = tensors[name].astype(np.float32)
+        tensors["embed.weight"] = np.asfortranarray(tensors["embed.weight"])
+        save_checkpoint(Checkpoint(config=tiny_config, tensors=tensors, training_step=1),
+                        tmp_path / "ck")
+        dtypes = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
+        joined = b"".join(tensors[n].astype(dtypes[tensors[n].dtype]).tobytes()
+                          for n in sorted(tensors))
+        assert {t.dtype for t in tensors.values()} == set(dtypes)
+        assert (tmp_path / "ck" / "weights.bin").read_bytes() == joined
+
     def test_manifest_layout(self, tiny_config, tmp_path):
         save_checkpoint(make_ckpt(tiny_config), tmp_path / "ck")
         man = json.loads((tmp_path / "ck" / "manifest.json").read_text())

@@ -243,6 +243,25 @@ class TestTrainCommand:
         assert "unknown lr_schedule 'cosine'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key", ["steps", "batch_size", "packing_factor"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_zero_count_setting_is_usage_error(self, key, via, tmp_path, synth_pipeline,
+                                               capsys):
+        paths = synth_pipeline["paths"]
+        out = tmp_path / "run"
+        argv = ["train-lm", "--manifest", str(paths.lm_manifest),
+                "--vocab", str(paths.vocab), "--output-dir", str(out),
+                "--dim", "16", "--head-dim", "8", "--max-seq-len", "32"]
+        if via == "flag":
+            argv += [f"--{key.replace('_', '-')}", "0"]
+        else:
+            cfg = tmp_path / "lm.cfg"
+            cfg.write_text(f"{key} = 0\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert f"{key} (--{key.replace('_', '-')}) must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_file(self, tmp_path, synth_pipeline, capsys):
         paths = synth_pipeline["paths"]
         cfg = tmp_path / "lm.cfg"

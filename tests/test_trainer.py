@@ -1,6 +1,7 @@
 """Training loop behavior: progress, determinism, padding neutrality."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from helpers import dense_mixture
 import moefusion.model as model_mod
 import moefusion.trainer as trainer_mod
 from moefusion import autodiff as ad
-from moefusion.adafactor import AdafactorHyper
+from moefusion.adafactor import AdafactorHyper, adafactor_step
 from moefusion.checkpoint import load_checkpoint
 from moefusion.errors import NumericError
 from moefusion.model import MoeLmConfig, init_params
@@ -140,6 +141,45 @@ class TestMoeImpls:
             assert abs(x - y) <= 1e-5
         for n in a.tensors:
             assert np.abs(a.tensors[n] - b.tensors[n]).max() < 1e-5, n
+
+
+class TestStepMemory:
+    def test_a_steps_memory_is_freed_in_order(self, monkeypatch, tmp_path):
+        """When a step starts, no gradient of the step before is alive, nor
+        any weight its optimizer step replaced but the embedding, which the
+        graph's tied output head views; when it reaches its backward pass,
+        that graph and the embedding are gone too."""
+        grads, weights, roots = [], {}, []
+
+        def alive(refs):
+            return [name for name, ref in refs if ref() is not None]
+
+        def spy_step(params, step_grads, *args):
+            grads.extend((n, weakref.ref(g)) for n, g in step_grads.items())
+            weights.update((n, weakref.ref(w)) for n, w in params.items())
+            return adafactor_step(params, step_grads, *args)
+
+        def spy_loss(*args):
+            assert alive(grads) == [] and alive(weights.items()) in ([], ["embed.weight"])
+            return batch_loss(*args)
+
+        def spy_backward(root):
+            assert alive(weights.items()) == [] and alive(roots) == []
+            backward(root)
+            roots.append(("loss", weakref.ref(root.value)))
+
+        def spy_save(*args):
+            assert alive(grads) == []
+            save(*args)
+
+        backward, save = ad.backward, trainer_mod.save_checkpoint
+        monkeypatch.setattr(trainer_mod, "adafactor_step", spy_step)
+        monkeypatch.setattr(trainer_mod, "batch_loss", spy_loss)
+        monkeypatch.setattr(ad, "backward", spy_backward)
+        monkeypatch.setattr(trainer_mod, "save_checkpoint", spy_save)
+        train(corpus(), CFG, HYPER, steps=3, seed=0, batch_size=4, packing_factor=2,
+              checkpoint_dir=tmp_path)
+        assert len(grads) == 3 * len(weights) and (tmp_path / "weights.bin").exists()
 
 
 class TestFailure:
