@@ -1,23 +1,23 @@
 """Command-line entry points.
 
-Exit codes: 0 success; 1 usage error: the argument parser or a command's
-own flag checks reject a flag, a flag value or a --config line; 2 runtime
-failure: a value that parses but fails validation further in (a ConfigError
-such as `flops --dim 100`, or `lr_schedule = cosine` in --config), missing
-or corrupt inputs, numeric divergence. All subcommands are deterministic
-for a fixed --seed.
+Exit codes: 0 success; 1 the argument parser rejects the arguments: an
+unknown or missing flag, or a value its flag's type refuses (each check of
+a flag value is in that type); 2 everything after parsing: a value that
+parses but fails validation further in (a ConfigError such as
+`flops --dim 100`), missing or corrupt inputs, numeric divergence. All
+subcommands are deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .accounting import count_params_flops
 from .adafactor import LR_SCHEDULES, AdafactorHyper
 from .checkpoint import load_checkpoint
-from .errors import UsageError, read_text
 from .fusion import (
     CheckpointLmScorer, FusionConfig, decode_utterances, read_decodes, write_decodes,
 )
@@ -30,55 +30,33 @@ from .wer import aggregate, emit_report, read_utt_file, report_from_json, wer
 __all__ = ["main", "build_parser"]
 
 
-def _kv_config(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    seen: dict[str, int] = {}
-    for ln, line in enumerate(read_text(path, UsageError).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
-        k, v = (x.strip() for x in line.split("=", 1))
-        if k in seen:
-            raise UsageError(f"{path}: key {k!r} is set on lines {seen[k]} and {ln}")
-        seen[k] = ln
-        out[k] = v
-    return out
-
-
-def _resolve(args, key: str, cast, default, file_cfg: dict[str, str]):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        raw = file_cfg[key]
-        if cast is bool:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise UsageError(f"config key {key}: not a boolean: {raw!r}")
+def _at_least(low, cast=int):
+    """argparse type: a finite cast(text) no smaller than low, so a bad value
+    is a usage error naming its flag before anything is written."""
+    def parse(text: str):
         try:
-            return cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: {exc}") from exc
-    return default
-
-
-def _at_least(low: int):
-    """argparse type: an int no smaller than low, so a bad value is a usage
-    error naming its flag before anything is written."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}") from None
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low:g}, got {text!r}")
         return value
     return parse
+
+
+_lambda = _at_least(0.0, float)
+
+
+def _lambdas(text: str) -> list[float]:
+    """argparse type of --values: comma-separated lambdas, each a _lambda,
+    no two of one name (the `:g` form names a sweep's files and rows)."""
+    values = [_lambda(item) for item in text.split(",")]
+    names = [f"{lam:g}" for lam in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"lists lambda {name} twice")
+    return values
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -90,8 +68,6 @@ def _require_file(path: str, what: str) -> Path:
 
 def cmd_train_tokenizer(args) -> int:
     manifest = _require_file(args.manifest, "corpus manifest")
-    if args.vocab_size < 5:
-        raise UsageError("--vocab-size must be at least 5")
     sentences = [s for _, s in read_corpus(manifest)]
     vocab = train_wordpiece(sentences, args.vocab_size)
     vocab.save(args.output)
@@ -99,14 +75,15 @@ def cmd_train_tokenizer(args) -> int:
     return 0
 
 
-# train-lm settings: key -> (type, default). Each is a flag (--key, dashed) and
-# a --config key; a flag overrides the file, which overrides the default.
+# train-lm settings: key -> (argparse type, default), each the flag --key
+# (dashed); bool is a switch. max_seq_len >= 3 fits BOS, a token and EOS.
 _TRAIN_SETTINGS = {
     "layers": (int, 2), "dim": (int, 64), "heads": (int, 2), "head_dim": (int, 32),
     "ffn_mult": (int, 4), "experts": (int, 4), "experts_per_token": (int, 2),
-    "max_seq_len": (int, 128), "aux_loss_weight": (float, 0.01), "untied": (bool, False),
-    "lr": (float, 0.05), "warmup": (int, 100), "lr_schedule": (str, "inverse_sqrt"),
-    "steps": (int, 200), "batch_size": (int, 8), "packing_factor": (int, 4),
+    "max_seq_len": (_at_least(3), 128), "aux_loss_weight": (float, 0.01),
+    "untied": (bool, False), "lr": (float, 0.05), "warmup": (int, 100),
+    "lr_schedule": (str, "inverse_sqrt"), "steps": (_at_least(1), 200),
+    "batch_size": (_at_least(1), 8), "packing_factor": (_at_least(1), 4),
 }
 # Model-dimension flag (argparse dest) -> MoeLmConfig field, for train-lm and flops.
 _MODEL_FLAGS = {
@@ -119,29 +96,20 @@ _MODEL_FLAGS = {
 def cmd_train_lm(args) -> int:
     manifest = _require_file(args.manifest, "corpus manifest")
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
-    file_cfg = _kv_config(_require_file(args.config, "config file")) if args.config else {}
-    val = {key: _resolve(args, key, cast, default, file_cfg)
-           for key, (cast, default) in _TRAIN_SETTINGS.items()}
-    unknown = sorted(set(file_cfg) - set(_TRAIN_SETTINGS))
-    if unknown:
-        raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
-    for key in ("steps", "batch_size", "packing_factor"):
-        if val[key] < 1:
-            raise UsageError(f"{key} (--{key.replace('_', '-')}) must be >= 1, got {val[key]}")
     config = MoeLmConfig(
-        vocab_size=vocab.size, aux_loss_weight=val["aux_loss_weight"],
-        tied_embeddings=not val["untied"],
-        **{field: val[key] for key, field in _MODEL_FLAGS.items()},
+        vocab_size=vocab.size, aux_loss_weight=args.aux_loss_weight,
+        tied_embeddings=not args.untied,
+        **{field: getattr(args, key) for key, field in _MODEL_FLAGS.items()},
     )
-    hyper = AdafactorHyper(learning_rate=val["lr"], warmup_steps=val["warmup"],
-                           lr_schedule=val["lr_schedule"])
+    hyper = AdafactorHyper(learning_rate=args.lr, warmup_steps=args.warmup,
+                           lr_schedule=args.lr_schedule)
 
     sentences = [encode(text, vocab) for _, text in read_corpus(manifest)]
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt, log = train(
-        sentences, config, hyper, steps=val["steps"], seed=args.seed,
-        batch_size=val["batch_size"], packing_factor=val["packing_factor"],
+        sentences, config, hyper, steps=args.steps, seed=args.seed,
+        batch_size=args.batch_size, packing_factor=args.packing_factor,
         checkpoint_dir=out_dir,
     )
     log.write_csv(out_dir / "train_log.csv")
@@ -152,17 +120,7 @@ def cmd_train_lm(args) -> int:
     return 0
 
 
-def _check_search_flags(args) -> None:
-    if args.beam < 1:
-        raise UsageError("--beam must be >= 1")
-    if args.max_len is not None and args.max_len < 0:
-        raise UsageError("--max-len must be >= 0")
-
-
 def cmd_decode(args) -> int:
-    if not 0 <= args.lam < float("inf"):
-        raise UsageError("--lambda must be finite and >= 0")
-    _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
     lm = CheckpointLmScorer(load_checkpoint(_require_file(args.lm, "LM checkpoint"))) \
@@ -256,30 +214,19 @@ def cmd_flops(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
-    try:
-        values = [float(x) for x in args.values.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"--values must be comma-separated floats: {exc}") from exc
-    if not values or not all(0 <= v < float("inf") for v in values):
-        raise UsageError("--values needs at least one lambda, all finite and >= 0")
-    names = [f"{lam:g}" for lam in values]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise UsageError(f"--values lists lambda {name} twice")
-    _check_search_flags(args)
     vocab = Vocab.load(_require_file(args.vocab, "vocab file"))
     lattice_dir = _require_file(args.lattice_dir, "lattice directory")
     refs = _read_refs(_require_file(args.refs, "reference file"))
     lm = CheckpointLmScorer(load_checkpoint(_require_file(args.lm, "LM checkpoint")))
     configs = [FusionConfig(lam=lam, beam_size=args.beam, max_len=args.max_len)
-               for lam in values]
+               for lam in args.values]
     decodes = decode_utterances(lattice_dir, lm, configs, vocab,
                                 check_ids=lambda ids: _check_ids(refs, ids))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["lambda,macro_wer,micro_wer"]
     best = None
-    for lam, rows in zip(values, decodes):
+    for lam, rows in zip(args.values, decodes):
         write_decodes(rows, out_dir / f"decodes_lambda{lam:g}.tsv")
         per_locale = _evaluate(refs, {row.utt_id: row.text for row in rows})
         report = aggregate(per_locale)
@@ -318,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-tokenizer", help="induce a wordpiece vocab")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab-size", type=int, required=True)
+    p.add_argument("--vocab-size", type=_at_least(5), required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train_tokenizer)
 
@@ -326,14 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--config", help="key=value file; flags override it")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    for key, (typ, _) in _TRAIN_SETTINGS.items():
+    for key, (typ, default) in _TRAIN_SETTINGS.items():
         flag = "--" + key.replace("_", "-")
         if typ is bool:
-            p.add_argument(flag, action="store_const", const=True, default=None)
+            p.add_argument(flag, action="store_true", default=default)
         else:
-            p.add_argument(flag, type=typ, default=None,
+            p.add_argument(flag, type=typ, default=default,
                            choices=LR_SCHEDULES if key == "lr_schedule" else None)
     p.set_defaults(func=cmd_train_lm)
 
@@ -341,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice-dir", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--lm", help="LM checkpoint directory (omit for no LM)")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=_lambda, required=True)
+    p.add_argument("--beam", type=_at_least(1), default=8)
+    p.add_argument("--max-len", type=_at_least(0), default=None)
     p.add_argument("--length-normalize", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_decode)
@@ -368,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--lm", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", type=_lambdas, required=True,
                    help="comma-separated lambdas, e.g. 0,0.1,0.2,0.3")
-    p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--beam", type=_at_least(1), default=8)
+    p.add_argument("--max-len", type=_at_least(0), default=None)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_sweep_lambda)
 
@@ -396,9 +342,6 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 2
     except Exception as exc:  # runtime failures map to exit 2

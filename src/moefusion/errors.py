@@ -1,5 +1,5 @@
 """Exception types shared across the package, and read_text, the text-file
-reader that turns undecodable bytes into one of them.
+reader that turns undecodable bytes into a ValueError naming the file.
 
 Callers can catch the narrow type (e.g. CheckpointShapeError) or the family
 base class. Argument-contract violations raise plain ValueError/TypeError.
@@ -36,13 +36,9 @@ class CorruptCheckpointError(CheckpointError):
     """weights.bin is truncated or inconsistent with its manifest."""
 
 
-class UsageError(Exception):
-    """Bad command-line usage (missing input, malformed flag value)."""
-
-
-def read_text(path, error: type[Exception] = ValueError) -> str:
-    """The UTF-8 text of path; bytes that do not decode raise error naming path."""
+def read_text(path) -> str:
+    """The UTF-8 text of path; bytes that do not decode raise ValueError naming path."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8: {exc}") from None
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None

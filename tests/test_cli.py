@@ -157,56 +157,38 @@ class TestTrainCommand:
         assert log[0].startswith("step,loss")
         assert len(log) == 4
 
-    def test_flag_overrides_config_file(self, tmp_path, synth_pipeline,
-                                        capsys):
-        paths = synth_pipeline["paths"]
-        cfg = tmp_path / "lm.cfg"
-        cfg.write_text(
-            "# comment line\n"
-            "layers = 4\n"
-            "dim = 16\n"
-            "head_dim = 8\n"
-            "max_seq_len = 32\n"
-            "steps = 2\n"
-            "warmup = 2\n"
-            "batch_size = 4\n"
-        )
-        out = tmp_path / "run"
-        rc = main(["train-lm", "--manifest", str(paths.lm_manifest),
-                   "--vocab", str(paths.vocab), "--output-dir", str(out),
-                   "--config", str(cfg), "--layers", "2"])
-        assert rc == 0
-        man = json.loads((out / "manifest.json").read_text())
-        assert man["config"]["num_layers"] == 2  # flag wins
-        assert man["config"]["model_dim"] == 16  # file fills the rest
-
-    def test_config_file_equals_flags_for_every_setting(self, tmp_path, synth_pipeline,
-                                                         capsys):
-        """Every train-lm setting, at a non-default value, means the same as
-        a --config key as it does as a flag."""
+    def test_every_setting_flag_reaches_train(self, tmp_path, synth_pipeline,
+                                              monkeypatch, capsys):
+        """Every train-lm setting, at a non-default value and passed as its
+        flag, reaches the config, hyperparameters and counts train runs
+        with, and the manifest."""
         paths = synth_pipeline["paths"]
         settings = {
-            "layers": "3", "dim": "16", "heads": "4", "head_dim": "4", "ffn_mult": "2",
-            "experts": "3", "experts_per_token": "1", "max_seq_len": "24",
-            "aux_loss_weight": "0.02", "untied": "true", "lr": "0.03", "warmup": "5",
-            "lr_schedule": "constant", "steps": "2", "batch_size": "3",
-            "packing_factor": "2",
+            "layers": 3, "dim": 16, "heads": 4, "head_dim": 4, "ffn_mult": 2,
+            "experts": 3, "experts_per_token": 1, "max_seq_len": 24,
+            "aux_loss_weight": 0.02, "untied": True, "lr": 0.03, "warmup": 5,
+            "lr_schedule": "constant", "steps": 2, "batch_size": 3, "packing_factor": 2,
         }
         assert set(settings) == set(cli_mod._TRAIN_SETTINGS)
-        assert all(str(default).lower() != settings[key]
+        assert all(default != settings[key]
                    for key, (_, default) in cli_mod._TRAIN_SETTINGS.items())
-        cfg = tmp_path / "lm.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
-        flags = [a for k, v in settings.items() if k != "untied"
-                 for a in (f"--{k.replace('_', '-')}", v)] + ["--untied"]
-        common = ["train-lm", "--manifest", str(paths.lm_manifest),
-                  "--vocab", str(paths.vocab), "--seed", "3", "--output-dir"]
-        assert main(common + [str(tmp_path / "file"), "--config", str(cfg)]) == 0
-        assert main(common + [str(tmp_path / "flags"), *flags]) == 0
-        from_file, from_flags = ((tmp_path / d / "manifest.json").read_text()
-                                 for d in ("file", "flags"))
-        assert from_file == from_flags
-        man = json.loads(from_file)
+        calls = []
+        real_train = cli_mod.train
+        monkeypatch.setattr(cli_mod, "train", lambda *a, **k: calls.append((a, k))
+                            or real_train(*a, **k))
+        flags = [a for k, v in settings.items()
+                 for a in [f"--{k.replace('_', '-')}"] + ([] if v is True else [str(v)])]
+        out = tmp_path / "run"
+        assert main(["train-lm", "--manifest", str(paths.lm_manifest), "--vocab", str(paths.vocab),
+                     "--seed", "3", "--output-dir", str(out), *flags]) == 0
+        ((_, config, hyper), kwargs), = calls
+        assert {**{key: getattr(config, field) for key, field in cli_mod._MODEL_FLAGS.items()},
+                "aux_loss_weight": config.aux_loss_weight, "untied": not config.tied_embeddings,
+                "lr": hyper.learning_rate, "warmup": hyper.warmup_steps,
+                "lr_schedule": hyper.lr_schedule,
+                **{key: kwargs[key] for key in ("steps", "batch_size", "packing_factor")},
+                } == settings
+        man = json.loads((out / "manifest.json").read_text())
         assert man["training_step"] == 2
         assert man["config"]["tied_embeddings"] is False
         assert man["config"]["num_experts"] == 3
@@ -227,77 +209,41 @@ class TestTrainCommand:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_lr_schedule_exit_code_depends_on_where_it_is_set(
-            self, tmp_path, synth_pipeline, capsys):
-        # A flag outside its choices is a parser rejection (1); the same value
-        # from --config parses as a string and fails AdafactorHyper (2).
-        paths = synth_pipeline["paths"]
-        common = ["train-lm", "--manifest", str(paths.lm_manifest),
-                  "--vocab", str(paths.vocab), "--output-dir", str(tmp_path / "run"),
-                  "--dim", "16", "--head-dim", "8", "--max-seq-len", "32",
-                  "--steps", "2", "--batch-size", "4"]
-        assert main(common + ["--lr-schedule", "cosine"]) == 1
-        cfg = tmp_path / "lm.cfg"
-        cfg.write_text("lr_schedule = cosine\n")
-        assert main(common + ["--config", str(cfg)]) == 2
-        assert "unknown lr_schedule 'cosine'" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+BAD_FLAG_VALUES = [
+    ("train-tokenizer", "--vocab-size", "4"),
+    ("train-lm", "--steps", "0"), ("train-lm", "--batch-size", "0"),
+    ("train-lm", "--packing-factor", "0"), ("train-lm", "--max-seq-len", "2"),
+    ("train-lm", "--lr-schedule", "cosine"),
+    ("decode", "--lambda", "-0.5"), ("decode", "--lambda", "inf"), ("decode", "--lambda", "nan"),
+    ("decode", "--beam", "0"), ("decode", "--max-len", "-1"),
+    ("sweep-lambda", "--beam", "0"), ("sweep-lambda", "--max-len", "-1"),
+    ("sweep-lambda", "--values", ""), ("sweep-lambda", "--values", "0.1,banana"),
+    ("sweep-lambda", "--values", "-0.2"), ("sweep-lambda", "--values", "0,inf"),
+    ("sweep-lambda", "--values", "0.3,0.30"), ("sweep-lambda", "--values", "0,,0.3,"),
+]
 
-    @pytest.mark.parametrize("key", ["steps", "batch_size", "packing_factor"])
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_zero_count_setting_is_usage_error(self, key, via, tmp_path, synth_pipeline,
-                                               capsys):
-        paths = synth_pipeline["paths"]
-        out = tmp_path / "run"
-        argv = ["train-lm", "--manifest", str(paths.lm_manifest),
-                "--vocab", str(paths.vocab), "--output-dir", str(out),
-                "--dim", "16", "--head-dim", "8", "--max-seq-len", "32"]
-        if via == "flag":
-            argv += [f"--{key.replace('_', '-')}", "0"]
-        else:
-            cfg = tmp_path / "lm.cfg"
-            cfg.write_text(f"{key} = 0\n")
-            argv += ["--config", str(cfg)]
-        assert main(argv) == 1
-        assert f"{key} (--{key.replace('_', '-')}) must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
 
-    def test_malformed_config_file(self, tmp_path, synth_pipeline, capsys):
-        paths = synth_pipeline["paths"]
-        cfg = tmp_path / "lm.cfg"
-        cfg.write_text("layers 4\n")
-        rc = main(["train-lm", "--manifest", str(paths.lm_manifest),
-                   "--vocab", str(paths.vocab),
-                   "--output-dir", str(tmp_path / "run"),
-                   "--config", str(cfg)])
-        assert rc == 1
-
-    def test_repeated_config_key_rejected(self, tmp_path, synth_pipeline, capsys):
-        paths = synth_pipeline["paths"]
-        cfg = tmp_path / "lm.cfg"
-        cfg.write_text("layers = 2\ndim = 16\n# override\nlayers = 4\n")
-        out = tmp_path / "run"
-        rc = main(["train-lm", "--manifest", str(paths.lm_manifest),
-                   "--vocab", str(paths.vocab), "--output-dir", str(out),
-                   "--config", str(cfg)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "'layers'" in err and "lines 1 and 4" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("line", ["experts_pr_token = 4", "moe_impl = dense"])
-    def test_unknown_config_key_rejected(self, tmp_path, synth_pipeline,
-                                         capsys, line):
-        paths = synth_pipeline["paths"]
-        cfg = tmp_path / "lm.cfg"
-        cfg.write_text(f"dim = 16\nhead_dim = 8\nsteps = 2\n{line}\n")
-        out = tmp_path / "run"
-        rc = main(["train-lm", "--manifest", str(paths.lm_manifest),
-                   "--vocab", str(paths.vocab), "--output-dir", str(out),
-                   "--config", str(cfg)])
-        assert rc == 1
-        assert line.split(" =")[0] in capsys.readouterr().err
-        assert not out.exists()
+@pytest.mark.parametrize("command, flag, value", BAD_FLAG_VALUES)
+def test_bad_flag_value_is_usage_error(command, flag, value, synth_pipeline, lm_dir,
+                                       tmp_path, capsys):
+    """The parser refuses each value (exit 1), names its flag and writes
+    nothing; every other argument is valid and every input exists."""
+    paths = synth_pipeline["paths"]
+    out = tmp_path / "out"
+    search = ["--lattice-dir", str(paths.lattice_dir), "--vocab", str(paths.vocab),
+              "--lm", str(lm_dir)]
+    argv = {
+        "train-tokenizer": ["--manifest", str(paths.tokenizer_manifest), "--output", str(out)],
+        "train-lm": ["--manifest", str(paths.lm_manifest), "--vocab", str(paths.vocab),
+                     "--output-dir", str(out), "--dim", "16", "--head-dim", "8",
+                     "--max-seq-len", "32", "--steps", "2", "--batch-size", "4"],
+        "decode": [*search, "--lambda", "0.3", "--output", str(out)],
+        "sweep-lambda": [*search, "--refs", str(paths.refs), "--values", "0,0.3",
+                         "--output-dir", str(out)],
+    }[command]
+    assert main([command, *argv, flag, value]) == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestDecodeCommand:
@@ -332,7 +278,7 @@ class TestDecodeCommand:
                    "--vocab", str(paths.vocab), "--lambda", lam,
                    "--output", str(tmp_path / "d.tsv")])
         assert rc == 1
-        assert "--lambda must be finite" in capsys.readouterr().err
+        assert "argument --lambda: must be finite" in capsys.readouterr().err
 
     def test_lambda_zero_with_lm_matches_no_lm(self, synth_pipeline, lm_dir,
                                                tmp_path, capsys):
@@ -537,7 +483,7 @@ class TestEvaluateCommand:
             reads.append(str(path))
             return read_text(path, *args)
 
-        for mod in (cli_mod, fusion_mod, wer_mod):
+        for mod in (fusion_mod, wer_mod):
             monkeypatch.setattr(mod, "read_text", spy)
         assert main(["evaluate", "--refs", str(refs), "--hyps", str(hyps),
                      "--output-dir", str(tmp_path / "out")]) == 0
@@ -564,24 +510,22 @@ def with_ff_byte(path):
 
 
 @pytest.mark.parametrize("fault, rc", [
-    ("refs", 2), ("hyps", 2), ("config", 1), ("manifest", 2), ("corpus", 2),
+    ("refs", 2), ("hyps", 2), ("manifest", 2), ("corpus", 2),
 ])
 def test_non_utf8_input_is_named(fault, rc, synth_pipeline, tmp_path, capsys):
-    """One 0xff byte in a text input fails the command with that file's name:
-    exit 1 for the config file, as for its other bad lines, else exit 2.
-    The hypotheses file fails in the reader its format picks."""
-    files = {n: tmp_path / n for n in ("refs", "hyps", "manifest", "corpus", "config")}
+    """One 0xff byte in a text input fails the command with that file's name
+    and exit 2. The hypotheses file fails in the reader its format picks."""
+    files = {n: tmp_path / n for n in ("refs", "hyps", "manifest", "corpus")}
     files["refs"].write_text("u1\tloc-a\ta b\n")
     files["hyps"].write_text("u1\tloc-a\ta b\n")
     files["corpus"].write_text("a b c\n")
     files["manifest"].write_text("loc-a\tcorpus\n")
-    files["config"].write_text("steps = 1\n")
     bad = with_ff_byte(files[fault])
     if fault in ("refs", "hyps"):
         argv = ["evaluate", "--refs", str(files["refs"]), "--hyps", str(files["hyps"])]
     else:
         argv = ["train-lm", "--manifest", str(files["manifest"]),
-                "--vocab", str(synth_pipeline["paths"].vocab), "--config", str(files["config"])]
+                "--vocab", str(synth_pipeline["paths"].vocab), "--steps", "1"]
     out = tmp_path / "out"
     assert main(argv + ["--output-dir", str(out)]) == rc
     err = capsys.readouterr().err
@@ -636,6 +580,9 @@ class TestSweepCommand:
         assert main(base + ["--values", "-0.2"]) == 1
         assert main(base + ["--values", ""]) == 1
         assert main(base + ["--values", "nan"]) == 1
+        capsys.readouterr()
+        assert main(base + ["--values", "0,,0.3,"]) == 1
+        assert "argument --values:" in capsys.readouterr().err
 
     def test_repeated_lambda_rejected(self, synth_pipeline, lm_dir, tmp_path, capsys):
         paths = synth_pipeline["paths"]

@@ -1,8 +1,8 @@
 """Every name a module lists in __all__ exists in it, every name a module
 imports is used in it, each submodule attribute of the package is its
 module, every top-level definition is reachable from the program or the
-benchmark, and every parameter with a default is passed by one of their
-calls and left out by another."""
+benchmark, every parameter with a default is passed by one of their calls
+and left out by another, and every error class is raised."""
 
 import ast
 import importlib
@@ -244,3 +244,23 @@ def test_every_default_is_taken():
     states a value a second time; only tests take it."""
     untaken = [p for p, passed in _defaulted_params() if all(passed)]
     assert not untaken, f"defaults that only tests take: {sorted(untaken)}"
+
+
+def test_every_error_class_is_raised():
+    """An exception class in errors.py that nothing in src/moefusion raises,
+    directly or through a subclass, is a contract no input can reach."""
+    src = sorted(Path(moefusion.__file__).parent.glob("*.py"))
+    raised = {n.id for path in src for r in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(r, ast.Raise) and r.exc is not None
+              for n in ast.walk(r.exc) if isinstance(n, ast.Name)}
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in ast.parse((src[0].parent / "errors.py").read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ClassDef)}
+    reached, todo = set(), deque(raised & set(bases))
+    while todo:
+        name = todo.popleft()
+        if name not in reached:
+            reached.add(name)
+            todo += bases[name] & set(bases)
+    unraised = sorted(set(bases) - reached)
+    assert not unraised, f"error classes nothing raises: {unraised}"

@@ -1,10 +1,11 @@
 """Behaviour pins: the synthetic pipeline's decodes and trained weights,
-compared with the values committed in pins.json.
+compared with the values committed in pins.json, and the files the command
+line writes for the same task, compared with cli_pins.json.
 
 Criterion 09 compares two runs of one tree; these pins compare a tree with
-the one that wrote pins.json, so a change meant to keep behaviour fails
-here if it moves a decode or a weight. After a change meant to move them,
-rewrite the file and name what moved and why:
+the one that wrote the pin files, so a change meant to keep behaviour fails
+here if it moves a decode, a weight or a written byte. After a change meant
+to move them, rewrite both files and name what moved and why:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
         PYTHONPATH=src python tests/test_pins.py
@@ -16,6 +17,7 @@ the suite), one OpenBLAS build and one CPU family.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import tempfile
@@ -24,14 +26,21 @@ from pathlib import Path
 import numpy as np
 
 from helpers import build_synth_pipeline
-from moefusion import fusion
+from moefusion import cli, fusion
+from moefusion.checkpoint import load_checkpoint
 from moefusion.fusion import CheckpointLmScorer, FusionConfig, decode_utterances
 
 PINS = Path(__file__).with_name("pins.json")
+CLI_PINS = Path(__file__).with_name("cli_pins.json")
 DECODE_LAMBDA = 0.3
 SWEEP_LAMBDAS = (0.0, 0.2, 0.4)
 # Flat indices of each tensor's sampled weights: first, middle and last.
 SAMPLE_AT = (0.0, 0.5, 1.0)
+# The benchmark's fusion-LM flags (bench/worker.py FUSION_LM_FLAGS) with
+# fewer steps, so the pinned train-lm run stays short.
+LM_FLAGS = ["--layers", "2", "--dim", "32", "--heads", "2", "--head-dim", "16",
+            "--experts", "4", "--experts-per-token", "2", "--max-seq-len", "64",
+            "--steps", "6", "--warmup", "50"]
 
 
 @contextlib.contextmanager
@@ -79,6 +88,32 @@ def measure(pipeline) -> dict[str, list]:
     }
 
 
+def measure_cli(pipeline, out: Path) -> dict:
+    """Through cli.main on the pipeline's task: train-lm with LM_FLAGS,
+    decode without and with that LM at DECODE_LAMBDA, and a sweep-lambda
+    over SWEEP_LAMBDAS. Returns the LM's manifest.json text, the sha256 of
+    each decode TSV and of sweep.csv, and each trained tensor's sum."""
+    paths = pipeline["paths"]
+    task = ["--lattice-dir", str(paths.lattice_dir), "--vocab", str(paths.vocab)]
+    lm, lam = out / "lm", f"{DECODE_LAMBDA:g}"
+    for argv in (
+        ["train-lm", "--manifest", str(paths.lm_manifest), "--vocab", str(paths.vocab),
+         "--output-dir", str(lm), *LM_FLAGS],
+        ["decode", *task, "--lambda", lam, "--output", str(out / "decode.tsv")],
+        ["decode", *task, "--lm", str(lm), "--lambda", lam, "--output", str(out / "decode_lm.tsv")],
+        ["sweep-lambda", *task, "--lm", str(lm), "--refs", str(paths.refs),
+         "--values", ",".join(f"{v:g}" for v in SWEEP_LAMBDAS), "--output-dir", str(out / "sweep")],
+    ):
+        assert cli.main(argv) == 0, argv
+    written = sorted(out.rglob("*.tsv")) + [out / "sweep" / "sweep.csv"]
+    return {
+        "manifest.json": (lm / "manifest.json").read_text(encoding="utf-8"),
+        **{f"sha256 {p.relative_to(out).as_posix()}": hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in written},
+        **{f"sum {n}": float(t.sum()) for n, t in sorted(load_checkpoint(lm).tensors.items())},
+    }
+
+
 def test_pipeline_matches_pins(synth_pipeline):
     pins, got = json.loads(PINS.read_text(encoding="utf-8")), measure(synth_pipeline)
     assert got.keys() == pins.keys()
@@ -91,11 +126,24 @@ def test_pipeline_matches_pins(synth_pipeline):
                                        rtol=0, atol=1e-9, err_msg=key)
 
 
+def test_cli_files_match_pins(synth_pipeline, tmp_path, capsys):
+    pins = json.loads(CLI_PINS.read_text(encoding="utf-8"))
+    got = measure_cli(synth_pipeline, tmp_path)
+    assert got.keys() == pins.keys()
+    for key, pinned in pins.items():
+        if key.startswith("sum "):
+            np.testing.assert_allclose(got[key], pinned, rtol=1e-9, atol=0, err_msg=key)
+        else:
+            assert got[key] == pinned, key
+
+
 if __name__ == "__main__":
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     assert all(os.environ.get(v) == "1" for v in threads), f"set {threads} to 1"
     with tempfile.TemporaryDirectory() as tmp:
-        pins = measure(build_synth_pipeline(Path(tmp)))
-    PINS.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pins.items())
-                    + "\n}\n", encoding="utf-8")
-    print(f"wrote {PINS}")
+        pipeline = build_synth_pipeline(Path(tmp) / "task")
+        written = {PINS: measure(pipeline), CLI_PINS: measure_cli(pipeline, Path(tmp) / "cli")}
+    for path, pins in written.items():
+        path.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                            for k, v in pins.items()) + "\n}\n", encoding="utf-8")
+        print(f"wrote {path}")
