@@ -16,8 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
-from .numerics import check_finite
+from .errors import ConfigError, check_finite
 
 __all__ = ["LR_SCHEDULES", "AdafactorHyper", "AdafactorState", "adafactor_step"]
 

@@ -13,13 +13,18 @@ and attention, scaled dot-product attention, each as one op; and the
 indexing ops take_rows, gather_pairs, concat_rows and scatter_add_rows,
 which route tokens to experts and back. Each vector-Jacobian product is
 hand-written and covered by finite-difference tests.
+
+softmax and attention do not check for NaN or Inf: on the short routing and
+attention rows of a decode step the scan would double their cost. Gate
+logits are checked where formed (model.gate_topk); attention NaNs reach
+log_softmax, which raises NumericError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import numerics
+from .errors import check_finite
 
 __all__ = [
     "Var",
@@ -142,9 +147,16 @@ def sum_(a, axis=None):
     return _node(av.sum(axis=axis), [(a, vjp)])
 
 
+def _softmax(x):
+    """Softmax of array x along the last axis, computed with max subtraction."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a):
     """Along the last axis."""
-    y = numerics.softmax(value(a))
+    y = _softmax(value(a))
 
     def vjp(g):
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
@@ -153,8 +165,13 @@ def softmax(a):
 
 
 def log_softmax(a):
-    """Along the last axis. Checked: a non-finite input raises NumericError."""
-    y = numerics.log_softmax(value(a))
+    """Along the last axis; a non-finite input raises NumericError, an empty one ValueError."""
+    x = value(a)
+    if x.size == 0:
+        raise ValueError("log_softmax of an empty axis is undefined")
+    check_finite(x, "log_softmax input")
+    shifted = x - x.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def vjp(g):
         return g - np.exp(y) * g.sum(axis=-1, keepdims=True)
@@ -232,7 +249,7 @@ def attention(q, k, v, bias):
     """
     qv, kv, vv = value(q), value(k), value(v)
     scale = 1.0 / np.sqrt(qv.shape[-1])
-    p = numerics.softmax(np.matmul(qv, np.swapaxes(kv, 2, 3)) * scale + bias)
+    p = _softmax(np.matmul(qv, np.swapaxes(kv, 2, 3)) * scale + bias)
     saved = []
 
     def scores_grad(g):

@@ -45,7 +45,9 @@ def _at_least(low, cast=int):
     return parse
 
 
-_lambda = _at_least(0.0, float)
+def _lambda(text: str) -> float:
+    """argparse type of a fusion weight: _at_least(0.0, float), with -0 read as 0."""
+    return _at_least(0.0, float)(text) + 0.0
 
 
 def _lambdas(text: str) -> list[float]:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and read_text, the text-file
-reader that turns undecodable bytes into a ValueError naming the file.
+"""Exception types shared across the package; check_finite, which raises
+NumericError on a NaN or Inf; and read_text, the text-file reader that turns
+undecodable bytes into a ValueError naming the file.
 
 Callers can catch the narrow type (e.g. CheckpointShapeError) or the family
 base class. Argument-contract violations raise plain ValueError/TypeError.
@@ -7,9 +8,20 @@ base class. Argument-contract violations raise plain ValueError/TypeError.
 
 from pathlib import Path
 
+import numpy as np
+
 
 class NumericError(ArithmeticError):
     """A NaN or Inf appeared where the contract requires finite values."""
+
+
+def check_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """Return x unchanged, raising NumericError if any element is NaN/Inf."""
+    x = np.asarray(x)
+    if not np.isfinite(x).all():
+        bad = int(np.size(x) - np.count_nonzero(np.isfinite(x)))
+        raise NumericError(f"{what} contains {bad} non-finite value(s)")
+    return x
 
 
 class ConfigError(ValueError):

@@ -41,10 +41,10 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from .autodiff import log_softmax
 from .checkpoint import Checkpoint
 from .errors import NumericError, VocabMismatchError, read_text
 from .model import LmState, initial_state, kv_position_bytes, lm_score_rows, lm_score_step
-from .numerics import log_softmax
 from .tokenizer import BOS_ID, EOS_ID, Vocab, decode_text
 
 __all__ = [

@@ -34,8 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
-from .numerics import check_finite
+from .errors import ConfigError, check_finite
 from .tokenizer import BOS_ID
 
 __all__ = [

@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .fusion import save_lattice
-from .tokenizer import (
-    EOS_ID, WORD_SEP, encode, train_wordpiece, read_corpus,
-)
+from .tokenizer import EOS_ID, WORD_SEP, encode, train_wordpiece
 
 __all__ = ["SynthPaths", "confusable", "gen_synthetic"]
 
@@ -111,23 +109,16 @@ def gen_synthetic(
     vocab_size: int,
 ) -> SynthPaths:
     """Write corpora, manifests, vocab, references and lattices under out_dir.
-    A *.lat in out_dir/lattices that this run would not write raises first."""
+    A *.lat in out_dir/lattices that this run would not write, or a vocab_size
+    too small for the task, raises before anything is written."""
     root = Path(out_dir)
     lattice_dir = root / "lattices"
     ours = {f"{loc}-{i:04d}.lat" for loc in LOCALES for i in range(eval_per_locale)}
     stray = sorted(p for p in lattice_dir.glob("*.lat") if p.name not in ours)
     if stray:
         raise ValueError(f"{stray[0]} is not a lattice of this task; use an empty output directory")
-    (root / "corpus").mkdir(parents=True, exist_ok=True)
-    lattice_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng([seed, 0x5717])
-
-    corpus_paths = {}
-    for locale in LOCALES:
-        sents = _sentences_for(locale, sentences_per_locale, rng)
-        p = root / "corpus" / f"{locale}.txt"
-        p.write_text("\n".join(sents) + "\n", encoding="utf-8")
-        corpus_paths[locale] = p
+    sents = {locale: _sentences_for(locale, sentences_per_locale, rng) for locale in LOCALES}
 
     # Three copies per line so the mid-sentence (marked) form is frequent
     # enough to merge into a single piece.
@@ -138,8 +129,27 @@ def gen_synthetic(
             if c == e:
                 raise ValueError(f"entity {e!r} has no distinct confusable form")
             confusions.extend([f"{c} {c} {c}"] * 20)
-    conf_path = root / "corpus" / "confusions.txt"
-    conf_path.write_text("\n".join(confusions) + "\n", encoding="utf-8")
+
+    # The tokenizer corpus in its manifest's order, as read_corpus reads it.
+    vocab = train_wordpiece([s for loc in LOCALES for s in sents[loc]] + confusions, vocab_size)
+    # Entity and confusable must each be a single mid-sentence piece so the
+    # lattice can swap their scores at one position.
+    for locale in LOCALES:
+        for e in ENTITIES[locale]:
+            for w in (e, confusable(e)):
+                if WORD_SEP + w not in vocab.piece_to_id:
+                    raise ValueError(
+                        f"word {w!r} did not become a single piece; "
+                        f"increase vocab_size (got {vocab.size})"
+                    )
+
+    (root / "corpus").mkdir(parents=True, exist_ok=True)
+    lattice_dir.mkdir(parents=True, exist_ok=True)
+    for locale in LOCALES:
+        (root / "corpus" / f"{locale}.txt").write_text(
+            "\n".join(sents[locale]) + "\n", encoding="utf-8")
+    (root / "corpus" / "confusions.txt").write_text(
+        "\n".join(confusions) + "\n", encoding="utf-8")
 
     lm_manifest = root / "lm_manifest.tsv"
     lm_manifest.write_text(
@@ -152,23 +162,8 @@ def gen_synthetic(
         + "und\tcorpus/confusions.txt\n",
         encoding="utf-8",
     )
-
-    vocab = train_wordpiece(
-        [s for _, s in read_corpus(tok_manifest)], vocab_size
-    )
     vocab_path = root / "vocab.wpv"
     vocab.save(vocab_path)
-
-    # Entity and confusable must each be a single mid-sentence piece so the
-    # lattice can swap their scores at one position.
-    for locale in LOCALES:
-        for e in ENTITIES[locale]:
-            for w in (e, confusable(e)):
-                if WORD_SEP + w not in vocab.piece_to_id:
-                    raise ValueError(
-                        f"word {w!r} did not become a single piece; "
-                        f"increase vocab_size (got {vocab.size})"
-                    )
 
     ref_lines = []
     for locale in LOCALES:

@@ -10,12 +10,12 @@ from typing import Callable, Mapping
 import numpy as np
 
 from moefusion import autodiff as ad
+from moefusion.autodiff import log_softmax
 from moefusion.adafactor import AdafactorHyper
 from moefusion.checkpoint import Checkpoint
-from moefusion.errors import ConfigError, NumericError
+from moefusion.errors import ConfigError, NumericError, check_finite
 from moefusion.fusion import _BIN_MAGIC, _floor, beam_search_fusion
 from moefusion.model import LmState, MoeLmConfig, _ffn, gate_topk, initial_state, lm_score_rows
-from moefusion.numerics import check_finite, log_softmax
 from moefusion.synthetic import gen_synthetic
 from moefusion.tokenizer import BOS_ID, Vocab, encode, read_corpus
 from moefusion.trainer import train

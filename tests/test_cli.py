@@ -220,6 +220,7 @@ BAD_FLAG_VALUES = [
     ("sweep-lambda", "--values", ""), ("sweep-lambda", "--values", "0.1,banana"),
     ("sweep-lambda", "--values", "-0.2"), ("sweep-lambda", "--values", "0,inf"),
     ("sweep-lambda", "--values", "0.3,0.30"), ("sweep-lambda", "--values", "0,,0.3,"),
+    ("sweep-lambda", "--values", "0,-0"),
 ]
 
 
@@ -269,6 +270,11 @@ class TestDecodeCommand:
                    "--vocab", str(paths.vocab), "--lambda", "-0.5",
                    "--output", str(tmp_path / "d.tsv")])
         assert rc == 1
+
+    def test_negative_zero_lambda_parses_as_zero(self):
+        args = cli_mod.build_parser().parse_args(["decode", "--lattice-dir", "l", "--vocab", "v",
+                                                  "--lambda", "-0", "--output", "o"])
+        assert args.lam == 0.0 and not np.signbit(args.lam)
 
     @pytest.mark.parametrize("lam", ["inf", "nan"])
     def test_non_finite_lambda_is_usage_error(self, lam, synth_pipeline, tmp_path,
@@ -732,6 +738,17 @@ class TestGenSyntheticCommand:
         assert rc == 0
         assert (tmp_path / "task" / "refs.tsv").exists()
         assert len(list((tmp_path / "task" / "lattices").glob("*.lat"))) == 8
+
+    @pytest.mark.parametrize("vocab_size, message", [
+        ("2", "cannot hold 4 reserved ids"), ("60", "'desado' did not become a single piece"),
+    ])
+    def test_too_small_vocab_refused_before_writing(self, vocab_size, message, tmp_path,
+                                                    capsys):
+        out = tmp_path / "task"
+        assert main(["gen-synthetic", "--output-dir", str(out), "--sentences", "20",
+                     "--eval-utts", "1", "--vocab-size", vocab_size]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stray_lattice_refused_before_writing(self, tmp_path, capsys):
         argv = ["gen-synthetic", "--output-dir", str(tmp_path), "--seed", "1",

@@ -2,7 +2,8 @@
 imports is used in it, each submodule attribute of the package is its
 module, every top-level definition is reachable from the program or the
 benchmark, every parameter with a default is passed by one of their calls
-and left out by another, and every error class is raised."""
+and left out by another, every error class is raised, and the README's
+layout lists exactly the package's modules."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import moefusion
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+README = BENCH.parent / "README.md"
 
 
 def test_all_names_exist():
@@ -264,3 +266,13 @@ def test_every_error_class_is_raised():
             todo += bases[name] & set(bases)
     unraised = sorted(set(bases) - reached)
     assert not unraised, f"error classes nothing raises: {unraised}"
+
+
+def test_readme_layout_lists_every_module():
+    """The README's "Layout" block names each module of src/moefusion but
+    __init__.py once, and no module that is gone."""
+    block = README.read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+    listed = [line.split()[0] for line in block.splitlines() if line.startswith("  ")]
+    modules = [p.name for p in Path(moefusion.__file__).parent.glob("*.py")
+               if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)

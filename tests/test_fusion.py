@@ -86,7 +86,7 @@ class TestLatticeSource:
             src.rows([()], -1)
 
     def test_floor_applied(self):
-        from moefusion.numerics import log_softmax
+        from moefusion.autodiff import log_softmax
         frames = random_lattice(8, 2, seed=4)
         frames[0, 5] = -1e12  # deep but legal once floored
         frames[0] = log_softmax(frames[0])

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import grad_check
 from moefusion.errors import NumericError
-from moefusion.numerics import log_softmax, softmax
+from moefusion.autodiff import log_softmax, softmax
 
 
 def mp_log_softmax(values):
